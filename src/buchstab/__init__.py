@@ -2,8 +2,8 @@
 
 Exact counts, distributions and variance of the smallest-component size
 (shortest cycle of a random permutation and friends), the Buchstab
-function and its moment constants by piecewise Taylor series plus
-trapezoidal quadrature, and the generalized Buchstab function Omega_K
+function and its moment constants by piecewise Taylor series integrated
+term by term, and the generalized Buchstab function Omega_K
 whose reciprocal gives "large smallest component" proportions.
 """
 
@@ -49,7 +49,6 @@ from .omega import (
     seed_omega,
 )
 from .omega_k import (
-    OmegaKBlock,
     OmegaKLedger,
     advance_omega_k,
     alpha_vector,

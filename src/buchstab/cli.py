@@ -104,8 +104,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              f"(default {DEFAULT_PRECISION})")
     parser.add_argument("--taylor-degree", type=int, default=40,
                         help="Taylor truncation degree J (default 40)")
-    parser.add_argument("--grid-log2", type=int, default=12,
-                        help="trapezoid grid is 2^-grid_log2 (default 12)")
     parser.add_argument("--max-interval", type=int, default=None,
                         help="last Taylor block n* (default 200 for omega; "
                              "grown on demand for omega-k)")
@@ -132,7 +130,6 @@ def _get_table(args, N: int, class_name: str):
 
 def _get_omega_ledger(args, n_star: Optional[int] = None):
     cfg = QuadratureConfig(
-        grid_log2=args.grid_log2,
         max_interval=n_star or args.max_interval or 200,
         taylor_degree=args.taylor_degree,
         precision=args.precision,
@@ -142,7 +139,6 @@ def _get_omega_ledger(args, n_star: Optional[int] = None):
         "n_star": cfg.max_interval,
         "J": cfg.taylor_degree,
         "p": cfg.precision,
-        "grid_log2": cfg.grid_log2,
     }
     if cache is not None:
         art = cache.lookup(store_mod.KIND_OMEGA, params)
@@ -155,6 +151,7 @@ def _get_omega_ledger(args, n_star: Optional[int] = None):
 
 
 def _get_omega_k_ledger(args, K: str, n_star: int):
+    n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
     cache = _cache(args)
     params = {
         "n_star": n_star,

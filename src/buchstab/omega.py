@@ -23,21 +23,26 @@ coefficient decay fast near both interval ends.
 
 Moment constants ell * integral_1^inf omega(x)/x^ell dx are assembled
 from an exact first-interval integral (for ell = 2 the first interval
-contributes exactly 3/4 to the variance constant C), trapezoidal
-quadrature of the Taylor blocks with step 2^-grid_log2 on [2, n*], and
-the analytic tail ell * exp(-gamma) * n*^(1-ell) / (ell-1), whose error
-is capped by the classical |omega(x) - exp(-gamma)| < 1e-4 band for
-x > 4.  Defaults (p=30, J=40, grid_log2=12, n*=200) give the constant
-C = 1.30721... with an error budget around 1e-8.
+contributes exactly 3/4 to the variance constant C), the Taylor blocks
+on [2, n*] integrated term by term, and the analytic tail
+ell * exp(-gamma) * n*^(1-ell) / (ell-1), whose error is capped by the
+classical |omega(x) - exp(-gamma)| < 1e-4 band for x > 4.  On block n,
+t = n + (1+z)/2 = (1 + r z)/(2r) with r = 1/(2n+1) <= 1/5, so
+omega(t)/t^ell = (2r)^ell P(z) (1 + r z)^-ell; ``series_over_binomial``
+gives that product series (the Omega_K advance uses the same kernel)
+and integral_{-1}^{1} z^i dz = 2/(i+1) for even i.  Defaults (p=30,
+J=40, n*=200) give C = 1.30720779891056...; the printed error budget,
+1e-6, is the tail band; its truncation terms are below 1e-20.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context, exp_neg_gamma
 
@@ -50,6 +55,7 @@ __all__ = [
     "MomentConstant",
     "seed_omega",
     "advance_omega",
+    "series_over_binomial",
     "build_omega_ledger",
     "eval_omega",
     "integrate_block",
@@ -71,22 +77,18 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid, truncation and precision parameters for omega work.
+    """Truncation and precision parameters for omega work.
 
-    grid_log2    trapezoid step is 2**-grid_log2
     max_interval last Taylor block n* (tail handled analytically)
     taylor_degree J, the per-block truncation degree
     precision    working decimal digits
     """
 
-    grid_log2: int = 12
     max_interval: int = 200
     taylor_degree: int = 40
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if self.grid_log2 < 1:
-            raise ValueError(f"grid_log2 must be >= 1, got {self.grid_log2}")
         if self.max_interval < 5:
             raise ValueError(f"max_interval must be >= 5, got {self.max_interval}")
         if self.taylor_degree < 8:
@@ -97,11 +99,13 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class OmegaBlock:
-    """Taylor coefficients of omega on [n, n+1) in z = 2(x-n) - 1."""
+    """Taylor coefficients on [n, n+1) in z = 2(x-n) - 1.
+
+    Blocks of omega and of Omega_K (``omega_k``) share this class.
+    """
 
     n: int
     coeffs: Tuple[Decimal, ...]
-    p: int
 
     @property
     def degree(self) -> int:
@@ -154,15 +158,14 @@ def seed_omega(J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
     coeffs = tuple(
         ctx.divide(Decimal(2 * (-1) ** i), Decimal(3 ** (i + 1))) for i in range(J + 1)
     )
-    return OmegaBlock(1, coeffs, p)
+    return OmegaBlock(1, coeffs)
 
 
-def advance_omega(block: OmegaBlock, *,
+def advance_omega(block: OmegaBlock, p: int = DEFAULT_PRECISION, *,
                   target_digits: int = DEFAULT_TARGET_DIGITS) -> OmegaBlock:
     """Derive block n+1 from block n."""
     n = block.n
     J = block.degree
-    p = block.p
     with localcontext(context(p)):
         divisor = Decimal(2 * n + 3)
         s = Decimal(0)
@@ -172,7 +175,25 @@ def advance_omega(block: OmegaBlock, *,
         for i in range(1, J + 1):
             out.append((block.coeffs[i - 1] / Decimal(i) - out[i - 1]) / divisor)
     _check_truncation(out[J], n + 1, target_digits)
-    return OmegaBlock(n + 1, tuple(out), p)
+    return OmegaBlock(n + 1, tuple(out))
+
+
+def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
+                         length: int, p: int = DEFAULT_PRECISION) -> List[Decimal]:
+    """Coefficients 0..length-1 of P(z) (1 + r z)^-m, P = sum_i coeffs[i] z^i.
+
+    Matching powers of z in (1 + r z)^m D(z) = P(z) gives
+    d_i = c_i - sum_{k=1..m} C(m, k) r^k d_{i-k}, O(length * m) operations.
+    """
+    with localcontext(context(p)):
+        weights = [math.comb(m, k) * r ** k for k in range(1, m + 1)]
+        out: List[Decimal] = []
+        for i in range(length):
+            d = coeffs[i] if i < len(coeffs) else Decimal(0)
+            for k, w in enumerate(weights[:i], start=1):
+                d -= w * out[i - k]
+            out.append(d)
+    return out
 
 
 def build_omega_ledger(config: QuadratureConfig = QuadratureConfig(), *,
@@ -181,7 +202,8 @@ def build_omega_ledger(config: QuadratureConfig = QuadratureConfig(), *,
     blocks: List[OmegaBlock] = [None]  # type: ignore[list-item]
     blocks.append(seed_omega(config.taylor_degree, config.precision))
     for n in range(1, config.max_interval):
-        blocks.append(advance_omega(blocks[n], target_digits=target_digits))
+        blocks.append(advance_omega(blocks[n], config.precision,
+                                    target_digits=target_digits))
     return OmegaLedger(blocks, config)
 
 
@@ -205,47 +227,36 @@ def eval_omega(ledger: OmegaLedger, x) -> Decimal:
     return ledger.block(n).eval(z, ctx)
 
 
-def integrate_block(ledger: OmegaLedger, n: int, grid_log2: int | None = None,
-                    moment_order: int = 2) -> Decimal:
-    """Trapezoid approximation of integral_n^{n+1} omega(t)/t^ell dt.
+def integrate_block(ledger: OmegaLedger, n: int, moment_order: int = 2) -> Decimal:
+    """integral_n^{n+1} omega(t)/t^ell dt from block n's series, term by term.
 
-    Walks the regular grid t = i * delta with delta = 2**-grid_log2,
-    evaluating the block's Taylor polynomial at z = 2t - 1 by power
-    accumulation and summing endpoint pairs; the common factor delta/2
-    is applied once at the end.  Each interior grid value is computed
-    once and reused as the next pair's left endpoint.
+    With r = 1/(2n+1) the integral is (2r)^ell sum_{even i} d_i/(i+1),
+    d the coefficients of P(z) (1 + r z)^-ell.  The series is cut where
+    the dropped terms total less than 10^-p: a coefficient d_i with
+    i > J + K combines the coefficients b_k = C(ell+k-1, k) (-r)^k of
+    (1 + r z)^-ell with k > K only, so the dropped d_i total at most
+    sum_j |c_j| * sum_{k>K} |b_k|, and |b_{k+1}/b_k| = r (ell+k)/(k+1)
+    falls as k grows.
     """
     if moment_order < 1:
         raise ValueError(f"moment_order must be >= 1, got {moment_order}")
-    if grid_log2 is None:
-        grid_log2 = ledger.config.grid_log2
-    block = ledger.block(n)
-    coeffs = block.coeffs
     ell = moment_order
-    with localcontext(context(ledger.config.precision)):
-        delta = Decimal(1) / Decimal(2 ** grid_log2)
-        steps = 2 ** grid_log2
-        dn = Decimal(n)
-        one = Decimal(1)
-        two = Decimal(2)
-
-        def value_at(t: Decimal) -> Decimal:
-            z = two * t - one
-            y = Decimal(0)
-            zp = one
-            for c in coeffs:
-                y += c * zp
-                zp *= z
-            x = dn + t
-            return y / (x * x if ell == 2 else x ** ell)
-
-        s = Decimal(0)
-        left = value_at(Decimal(0))
-        for i in range(1, steps + 1):
-            right = value_at(Decimal(i) * delta)
-            s += left + right
-            left = right
-        return +(s * delta / two)
+    block = ledger.block(n)
+    p = ledger.config.precision
+    with localcontext(context(p)):
+        r = Decimal(1) / Decimal(2 * n + 1)
+        eps = Decimal(1).scaleb(-p)
+        weight = sum(abs(c) for c in block.coeffs)
+        b, K = Decimal(1), 0  # b = |b_K|
+        while True:
+            b_next = b * r * (ell + K) / (K + 1)
+            rho = r * (ell + K + 1) / (K + 2)
+            if rho < 1 and weight * b_next < eps * (1 - rho):
+                break
+            b, K = b_next, K + 1
+        d = series_over_binomial(block.coeffs, r, ell, block.degree + K + 1, p)
+        total = sum(d[i] / (i + 1) for i in range(0, len(d), 2))
+        return +((2 * r) ** ell * total)
 
 
 @dataclass(frozen=True)
@@ -263,14 +274,14 @@ class MomentConstant:
 
 
 def moment_constant(ledger: OmegaLedger, moment_order: int = 2) -> MomentConstant:
-    """Assemble the moment constant from exact head, quadrature and tail.
+    """Assemble the moment constant from exact head, block integrals and tail.
 
     value = ell * [ (1 - 2^-ell)/ell  (exact, omega = 1/x on [1,2])
-                  + sum_{n=2}^{n*-1} trapezoid block integrals
+                  + sum_{n=2}^{n*-1} integrate_block(n)
                   + exp(-gamma) * n*^(1-ell) / (ell-1) ]          (tail)
 
-    The budget adds the trapezoid bound O(delta^2), per-block Taylor
-    truncation, and the 1e-4 tail band scaled by the tail weight.
+    The budget is ell * (per-block Taylor truncation + series
+    truncation) plus the 1e-4 tail band scaled by the tail weight.
     """
     ell = moment_order
     if ell < 2:
@@ -279,29 +290,20 @@ def moment_constant(ledger: OmegaLedger, moment_order: int = 2) -> MomentConstan
     n_star = cfg.max_interval
     first = Fraction(1) - Fraction(1, 2 ** ell)  # ell * (1 - 2^-ell)/ell
     with localcontext(context(cfg.precision)):
+        eps = Decimal(1).scaleb(-cfg.precision)
         quad = Decimal(0)
         trunc = Decimal(0)
         for n in range(2, n_star):
-            quad += integrate_block(ledger, n, cfg.grid_log2, ell)
-            # evaluation error of a truncated block, with geometric slack
-            trunc += 3 * abs(ledger.block(n).coeffs[-1]) / Decimal(n) ** ell
+            quad += integrate_block(ledger, n, ell)
+            # evaluation error of a truncated block, with geometric slack,
+            # and integrate_block's series cut, below (2/(2n+1))^ell 10^-p
+            trunc += (3 * abs(ledger.block(n).coeffs[-1]) + eps) / Decimal(n) ** ell
         egamma = exp_neg_gamma(min(cfg.precision, 50))
         tail = egamma * Decimal(n_star) ** (1 - ell) / Decimal(ell - 1)
         value = Decimal(first.numerator) / Decimal(first.denominator) \
             + Decimal(ell) * (quad + tail)
 
-        # trapezoid error <= delta^2/12 * sum_n max |f''| on [n, n+1] with
-        # f = omega/t^ell; the bracket uses coarse bounds |omega| <= 0.6,
-        # |omega'| <= 0.3, |omega''| <= 0.6 valid on [2, inf).
-        delta = Decimal(1) / Decimal(2 ** cfg.grid_log2)
-        f2_sum = Decimal(0)
-        for n in range(2, n_star):
-            dn = Decimal(n)
-            bracket = (Decimal("0.6") + Decimal(2 * ell) * Decimal("0.3") / dn
-                       + Decimal(ell * (ell + 1)) * Decimal("0.6") / (dn * dn))
-            f2_sum += bracket / dn ** ell
-        trap = delta * delta / 12 * f2_sum
         tail_band = Decimal("1e-4") * Decimal(n_star) ** (1 - ell) \
             * Decimal(ell) / Decimal(ell - 1)
-        budget = +(Decimal(ell) * (trap + trunc) + tail_band)
+        budget = +(Decimal(ell) * trunc + tail_band)
     return MomentConstant(ell, +value, budget, first)

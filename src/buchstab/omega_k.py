@@ -9,15 +9,16 @@ surjections K=1/2) define
 1/Omega_K(x) is the limiting proportion of objects whose smallest
 component is large (at least a 1/x fraction of the object).
 
-Taylor blocks mirror the plain Buchstab ledger: on [n, n+1) write
-Omega_K(n + (1+z)/2) = sum_i c[n, i] z^i.  Block 1 is constant 1.
-Block 2 comes from the exact closed form Omega_K = 1 + K ln(x-1) on
-[2, 3): c[2, 0] = 1 + K ln(3/2) and c[2, i] = K (-1)^(i-1) / (i 3^i).
-For n >= 3 the defining integral gives, with the finite convolution
+Taylor blocks are those of the plain Buchstab ledger (``OmegaBlock``):
+on [n, n+1) write Omega_K(n + (1+z)/2) = sum_i c[n, i] z^i.  Block 1 is
+constant 1.  Block 2 comes from the exact closed form
+Omega_K = 1 + K ln(x-1) on [2, 3): c[2, 0] = 1 + K ln(3/2) and
+c[2, i] = K (-1)^(i-1) / (i 3^i).  For n >= 3 the defining integral
+gives, with alpha the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1,
 
-    alpha_i = sum_{j=0}^{i} (-1)^(i-j) (2n-1)^-(i-j) c[n-1, j],
+    alpha_i = c[n-1, i] - alpha_{i-1}/(2n-1)
 
-the advance rules c[n, i] = K alpha_{i-1} / ((2n-1) i) for i >= 1 and
+(``series_over_binomial`` with m = 1, O(J) per block), the advance rules c[n, i] = K alpha_{i-1} / ((2n-1) i) for i >= 1 and
 c[n, 0] = sum_i c[n-1, i] - (K/(2n-1)) sum_i (-1)^(i+1) alpha_i/(i+1),
 which make the blocks join continuously at the knots.
 
@@ -31,16 +32,20 @@ method-of-steps grid is linear in x and is what keeps x <= 30 cheap.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+import threading
+from decimal import Decimal, localcontext
 from typing import Dict, List, Sequence, Tuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context
-from .omega import LedgerRangeError, TruncationWarning, DEFAULT_TARGET_DIGITS
+from .omega import (
+    DEFAULT_TARGET_DIGITS,
+    LedgerRangeError,
+    OmegaBlock,
+    _check_truncation,
+    series_over_binomial,
+)
 
 __all__ = [
-    "OmegaKBlock",
     "OmegaKLedger",
     "seed_block1",
     "seed_block2",
@@ -63,37 +68,13 @@ PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
 )
 
 
-@dataclass(frozen=True)
-class OmegaKBlock:
-    """Taylor coefficients of Omega_K on [n, n+1) in z = 2(x-n) - 1."""
-
-    n: int
-    coeffs: Tuple[Decimal, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, z: Decimal, ctx: Context) -> Decimal:
-        acc = Decimal(0)
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.multiply(acc, z), c)
-        return acc
-
-    def boundary_sum(self, ctx: Context) -> Decimal:
-        s = Decimal(0)
-        for c in self.coeffs:
-            s = ctx.add(s, c)
-        return s
-
-
-def seed_block1(J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaKBlock:
+def seed_block1(J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
     """Block 1: Omega_K = 1 on [1, 2)."""
     context(p)  # validate p
-    return OmegaKBlock(1, (Decimal(1),) + (Decimal(0),) * J)
+    return OmegaBlock(1, (Decimal(1),) + (Decimal(0),) * J)
 
 
-def seed_block2(K, J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaKBlock:
+def seed_block2(K, J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
     """Block 2 from the closed form 1 + K ln(x-1) on [2, 3).
 
     With x = 2 + (1+z)/2, ln(x-1) = ln(3/2) + ln(1 + z/3), whose series
@@ -108,31 +89,24 @@ def seed_block2(K, J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaKBlock:
         coeffs = [c0]
         for i in range(1, J + 1):
             coeffs.append(Kd * Decimal((-1) ** (i - 1)) / Decimal(i * 3 ** i))
-    return OmegaKBlock(2, tuple(coeffs))
+    return OmegaBlock(2, tuple(coeffs))
 
 
-def alpha_vector(prev: OmegaKBlock, n: int, p: int = DEFAULT_PRECISION
+def alpha_vector(prev: OmegaBlock, n: int, p: int = DEFAULT_PRECISION
                  ) -> Tuple[Decimal, ...]:
-    """alpha_i = sum_{j<=i} (-1)^(i-j) (2n-1)^-(i-j) c[n-1, j] for i = 0..J."""
+    """alpha_i = sum_{j<=i} (-1)^(i-j) (2n-1)^-(i-j) c[n-1, j] for i = 0..J.
+
+    These are the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1.
+    """
     if n < 3:
         raise ValueError(f"alpha vector is defined for target blocks n >= 3, got {n}")
-    J = prev.degree
-    with localcontext(context(p)):
-        q = Decimal(-1) / Decimal(2 * n - 1)
-        powers = [Decimal(1)]
-        for _ in range(J):
-            powers.append(powers[-1] * q)
-        c = prev.coeffs
-        alpha = tuple(
-            sum((powers[i - j] * c[j] for j in range(i + 1)), Decimal(0))
-            for i in range(J + 1)
-        )
-    return alpha
+    r = context(p).divide(Decimal(1), Decimal(2 * n - 1))
+    return tuple(series_over_binomial(prev.coeffs, r, 1, prev.degree + 1, p))
 
 
-def advance_omega_k(prev: OmegaKBlock, K, p: int = DEFAULT_PRECISION, *,
-                    target_digits: int = DEFAULT_TARGET_DIGITS) -> OmegaKBlock:
-    """Derive block n = prev.n + 1 (n >= 3) from the alpha convolution."""
+def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION, *,
+                    target_digits: int = DEFAULT_TARGET_DIGITS) -> OmegaBlock:
+    """Derive block n = prev.n + 1 (n >= 3) from the alpha vector."""
     n = prev.n + 1
     if n < 3:
         raise ValueError("advance applies from block 2 onward; use the seeds below 3")
@@ -151,21 +125,16 @@ def advance_omega_k(prev: OmegaKBlock, K, p: int = DEFAULT_PRECISION, *,
         coeffs = [c0]
         for i in range(1, J + 1):
             coeffs.append(Kd * alpha[i - 1] / (m * Decimal(i)))
-    if abs(coeffs[J]) >= Decimal(1).scaleb(-(target_digits + 2)):
-        warnings.warn(
-            f"block {n}: |c[J]| = {coeffs[J]:.2e} exceeds "
-            f"1e-{target_digits + 2}; increase the Taylor degree",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return OmegaKBlock(n, tuple(coeffs))
+    _check_truncation(coeffs[J], n, target_digits)
+    return OmegaBlock(n, tuple(coeffs))
 
 
 class OmegaKLedger:
     """Lazily grown chain of Omega_K blocks for one value of K.
 
     Blocks are appended sequentially up to the largest requested x and
-    then reused; finished blocks are never mutated.
+    then reused; finished blocks are never mutated.  Growth holds a
+    lock, so threads may share a ledger; reads of built blocks take none.
     """
 
     def __init__(self, K, J: int = 40, p: int = DEFAULT_PRECISION, *,
@@ -176,7 +145,8 @@ class OmegaKLedger:
         self.J = J
         self.p = p
         self.max_interval = max_interval
-        self._blocks: List[OmegaKBlock] = [
+        self._grow_lock = threading.Lock()
+        self._blocks: List[OmegaBlock] = [
             None,  # type: ignore[list-item]
             seed_block1(J, p),
             seed_block2(self.K, J, p),
@@ -191,12 +161,15 @@ class OmegaKLedger:
             raise LedgerRangeError(
                 f"block {n} beyond the configured ledger limit {self.max_interval}"
             )
-        while self.built_through < n:
-            self._blocks.append(
-                advance_omega_k(self._blocks[-1], self.K, self.p)
-            )
+        if n <= self.built_through:
+            return
+        with self._grow_lock:
+            while self.built_through < n:
+                self._blocks.append(
+                    advance_omega_k(self._blocks[-1], self.K, self.p)
+                )
 
-    def block(self, n: int) -> OmegaKBlock:
+    def block(self, n: int) -> OmegaBlock:
         if n < 1:
             raise LedgerRangeError(f"block index must be >= 1, got {n}")
         self.ensure(n)

@@ -11,10 +11,10 @@ same digits as before saving.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -22,7 +22,7 @@ from typing import Any, Dict, List
 
 from .counts import CountTable, component_class_by_name
 from .omega import OmegaBlock, OmegaLedger, QuadratureConfig
-from .omega_k import OmegaKBlock, OmegaKLedger
+from .omega_k import OmegaKLedger
 
 __all__ = [
     "FORMAT_VERSION",
@@ -123,7 +123,6 @@ def artifact_from_omega_ledger(ledger: OmegaLedger) -> StoredArtifact:
             "n_star": cfg.max_interval,
             "J": cfg.taylor_degree,
             "p": cfg.precision,
-            "grid_log2": cfg.grid_log2,
         },
         {"blocks": blocks},
     )
@@ -133,7 +132,6 @@ def omega_ledger_from_artifact(art: StoredArtifact) -> OmegaLedger:
     if art.kind != KIND_OMEGA:
         raise StoreError(f"expected an {KIND_OMEGA} artifact, got {art.kind}")
     cfg = QuadratureConfig(
-        grid_log2=int(art.params["grid_log2"]),
         max_interval=int(art.params["n_star"]),
         taylor_degree=int(art.params["J"]),
         precision=int(art.params["p"]),
@@ -141,8 +139,7 @@ def omega_ledger_from_artifact(art: StoredArtifact) -> OmegaLedger:
     blocks = [None]
     for rec in art.payload["blocks"]:
         blocks.append(
-            OmegaBlock(int(rec["n"]), tuple(Decimal(c) for c in rec["coeffs"]),
-                       cfg.precision)
+            OmegaBlock(int(rec["n"]), tuple(Decimal(c) for c in rec["coeffs"]))
         )
     return OmegaLedger(blocks, cfg)  # type: ignore[arg-type]
 
@@ -171,7 +168,7 @@ def omega_k_ledger_from_artifact(art: StoredArtifact) -> OmegaKLedger:
     blocks = [None, ledger._blocks[1], ledger._blocks[2]]
     for rec in art.payload["blocks"]:
         n = int(rec["n"])
-        block = OmegaKBlock(n, tuple(Decimal(c) for c in rec["coeffs"]))
+        block = OmegaBlock(n, tuple(Decimal(c) for c in rec["coeffs"]))
         if n <= 2:
             blocks[n] = block
         else:
@@ -226,9 +223,10 @@ def load_artifact(path) -> StoredArtifact:
 class ArtifactCache:
     """Parameter-keyed artifact cache in a directory.
 
-    Writers take an advisory lock file so concurrent processes do not
-    interleave writes; readers need no lock (files appear atomically
-    via rename).
+    Writers hold an exclusive ``flock`` on ``.lock`` so concurrent
+    processes do not interleave writes; the kernel releases it when the
+    holder exits or dies, so a killed writer leaves no stale lock.
+    Readers need no lock (files appear atomically via rename).
     """
 
     def __init__(self, directory):
@@ -256,25 +254,19 @@ class ArtifactCache:
         except OSError as exc:
             raise StoreError(f"cannot create cache directory "
                              f"{self.directory}: {exc}") from exc
-        lock = self.directory / ".lock"
-        deadline = time.monotonic() + 10.0
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                break
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise StoreError(f"cache lock {lock} held too long")
-                time.sleep(0.05)
-            except OSError as exc:
-                raise StoreError(f"cannot lock cache {lock}: {exc}") from exc
+        lock_path = self.directory / ".lock"
         try:
-            tmp = path.with_suffix(".tmp")
-            save_artifact(art, tmp)
-            os.replace(tmp, path)
-        finally:
-            os.unlink(lock)
+            lock = open(lock_path, "a")
+        except OSError as exc:
+            raise StoreError(f"cannot open cache lock {lock_path}: {exc}") from exc
+        with lock:  # closing the file releases the lock
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                tmp = path.with_suffix(".tmp")
+                save_artifact(art, tmp)
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise StoreError(f"cannot store artifact {path}: {exc}") from exc
         return path
 
     def entries(self) -> List[Path]:

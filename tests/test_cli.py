@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -92,7 +93,6 @@ def test_omega_k_table_subset(capsys):
 def test_constant_small_config(capsys):
     code, out = run_cli(
         capsys, "constant", "--moment", "2", "--max-interval", "50",
-        "--grid-log2", "10",
     )
     assert code == 0
     lines = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -130,6 +130,20 @@ def test_cache_round_trip(capsys, tmp_path):
     code, cleared = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
     assert code == 0
     assert cleared == "removed=1\n"
+
+
+def test_omega_k_first_interval_served_from_cache(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    args = ("omega-k", "--k", "1", "--x", "1.5", "--cache-dir", str(cache_dir))
+    code, first = run_cli(capsys, *args)
+    assert code == 0 and first == "1.00000\n"
+    [entry] = list(cache_dir.glob("*.json"))
+    os.utime(entry, ns=(10 ** 9, 10 ** 9))
+    stamp = entry.stat()
+    code, second = run_cli(capsys, *args)
+    assert code == 0 and second == first
+    after = entry.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
 
 
 def test_usage_error_exit_codes():

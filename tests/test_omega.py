@@ -1,6 +1,6 @@
 import random
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,7 +20,7 @@ from buchstab.omega import (
 
 # Reference values frozen from independent high-precision quadrature of
 # the closed forms (adaptive quadrature over the exact piecewise
-# formulas, not this package's trapezoid path).
+# formulas, not this package's series integration).
 OMEGA_2_5 = Decimal("0.562186043243265752791205246186")
 OMEGA_3 = Decimal("0.564382393519981769805744040486")
 INT_BLOCK2_ELL2 = Decimal("0.0914439706392268354186521629159")
@@ -36,6 +36,26 @@ def ledger():
 @pytest.fixture(scope="module")
 def ledger_j64():
     return build_omega_ledger(QuadratureConfig(max_interval=110, taylor_degree=64))
+
+
+def trapezoid_block(ledger, n: int, log2_steps: int, ell: int) -> Decimal:
+    """Oracle for integrate_block: the trapezoid rule with step 2^-log2_steps
+    over block n's Taylor polynomial, evaluated at each grid point."""
+    p = ledger.config.precision
+    coeffs = ledger.block(n).coeffs
+    steps = 2 ** log2_steps
+    with localcontext(context(p)):
+        delta = Decimal(1) / Decimal(steps)
+
+        def f(t: Decimal) -> Decimal:
+            z = 2 * t - 1
+            y = Decimal(0)
+            for c in reversed(coeffs):
+                y = y * z + c
+            return y / (n + t) ** ell
+
+        values = [f(i * delta) for i in range(steps + 1)]
+        return +(delta * (sum(values) - (values[0] + values[-1]) / 2))
 
 
 def closed_form(x: Decimal, p: int = 30) -> Decimal:
@@ -130,14 +150,12 @@ def test_truncation_warning():
 
 def test_integrate_first_block_closed_form(ledger):
     v = integrate_block(ledger, 1, moment_order=2)
-    delta = Decimal(1) / Decimal(2 ** 12)
-    assert abs(v - Decimal("0.375")) < 2 * delta * delta
+    assert abs(v - Decimal("0.375")) < Decimal("1e-20")
 
 
 def test_integrate_second_block_reference(ledger):
     v = integrate_block(ledger, 2, moment_order=2)
-    assert abs(v - INT_BLOCK2_ELL2) < Decimal("1e-3")
-    assert abs(v - INT_BLOCK2_ELL2) < Decimal("1e-8")  # actual headroom
+    assert abs(v - INT_BLOCK2_ELL2) < Decimal("1e-20")
 
 
 def test_integrate_large_block_tail_form(ledger):
@@ -152,13 +170,13 @@ def test_moment_constant_variance(ledger):
     const = moment_constant(ledger, 2)
     assert const.first_interval == Fraction(3, 4)
     assert abs(const.value - Decimal("1.3070")) < Decimal("1e-3")
-    assert abs(const.value - C_REFERENCE) < const.error_budget + Decimal("1e-9")
+    assert abs(const.value - C_REFERENCE) < Decimal("1e-14")
 
 
 def test_moment_constant_third_order(ledger):
     const = moment_constant(ledger, 3)
     assert Decimal("1.0") < const.value < Decimal("1.2")
-    assert abs(const.value - M3_REFERENCE) < const.error_budget + Decimal("1e-9")
+    assert abs(const.value - M3_REFERENCE) < Decimal("1e-14")
 
 
 def test_moment_constant_small_truncation():
@@ -168,13 +186,19 @@ def test_moment_constant_small_truncation():
 
 
 def test_grid_convergence():
+    # |trapezoid - integral| <= delta^2/12 max |f''| for f = omega/t^ell,
+    # f'' = omega''/t^ell - 2 ell omega'/t^(ell+1) + ell (ell+1) omega/t^(ell+2),
+    # bracketed by |omega| <= 0.6, |omega'| <= 0.3, |omega''| <= 0.8 on
+    # [2, inf) (omega''(2+) = -3/4 is the largest).
     led = build_omega_ledger(QuadratureConfig(max_interval=20))
-
-    def total(grid):
-        return sum(integrate_block(led, n, grid, 2) for n in range(2, 20))
-
-    v8, v10, v12 = total(8), total(10), total(12)
-    assert abs(v10 - v12) <= abs(v8 - v10) / 3
+    delta = Decimal(1) / Decimal(2 ** 8)
+    for ell in (2, 3):
+        for n in range(2, 20):
+            dn = Decimal(n)
+            f2 = (Decimal("0.8") + 2 * ell * Decimal("0.3") / dn
+                  + ell * (ell + 1) * Decimal("0.6") / (dn * dn)) / dn ** ell
+            gap = abs(integrate_block(led, n, ell) - trapezoid_block(led, n, 8, ell))
+            assert gap <= delta * delta / 12 * f2, (ell, n)
 
 
 def test_ledger_determinism():
@@ -187,8 +211,6 @@ def test_ledger_determinism():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(grid_log2=0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_interval=4)
     with pytest.raises(ValueError):

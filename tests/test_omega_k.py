@@ -1,4 +1,6 @@
-from decimal import Decimal
+import sys
+import threading
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -57,6 +59,45 @@ def test_alpha_from_constant_block():
     for i, a in enumerate(alpha):
         expected = Decimal(-1) ** i / Decimal(5) ** i
         assert abs(a - expected) < Decimal("1e-28"), i
+
+
+def alpha_convolution(prev, n: int, p: int = 30):
+    """Oracle for alpha_vector: the O(J^2) convolution of the previous
+    block with the powers of -1/(2n-1)."""
+    J = prev.degree
+    with localcontext(context(p)):
+        q = Decimal(-1) / Decimal(2 * n - 1)
+        powers = [Decimal(1)]
+        for _ in range(J):
+            powers.append(powers[-1] * q)
+        return [sum((powers[i - j] * prev.coeffs[j] for j in range(i + 1)), Decimal(0))
+                for i in range(J + 1)]
+
+
+def test_alpha_matches_convolution(ledger_k1, ledger_k05):
+    for ledger in (ledger_k1, ledger_k05):
+        for n in (3, 4, 7, 40, 150):
+            prev = ledger.block(n - 1)
+            got = alpha_vector(prev, n, 30)
+            want = alpha_convolution(prev, n, 30)
+            assert max(abs(a - b) for a, b in zip(got, want)) < Decimal("1e-28"), n
+
+
+def test_concurrent_growth_keeps_block_order():
+    ledger = OmegaKLedger("0.5")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ledger.ensure, args=(120,)) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ledger.built_through == 120
+    assert [ledger.block(n).n for n in range(1, 121)] == list(range(1, 121))
 
 
 def test_alpha_first_entry_is_previous_c0(ledger_k1):

@@ -95,6 +95,17 @@ def test_cache_hit_and_miss(tmp_path):
     assert cache.lookup(art.kind, {"N": 7, "class": "permutations"}) is None
 
 
+def test_store_ignores_leftover_lock_file(tmp_path):
+    # a writer killed while storing leaves .lock behind; flock does not care
+    cache = ArtifactCache(tmp_path / "cache")
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / ".lock").touch()
+    art = artifact_from_table(build_table(PERMUTATIONS, 5))
+    cache.store(art)
+    hit = cache.lookup(art.kind, art.params)
+    assert hit is not None and hit.payload == art.payload
+
+
 def test_cache_list_and_clear(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     cache.store(artifact_from_table(build_table(PERMUTATIONS, 4)))
