@@ -7,7 +7,7 @@ generalized Buchstab table for K = 1 and K = 1/2 on the reference grid.
 
     python scripts/reproduce_tables.py [--variance-n 200]
 
-The full n = 1000 variance point takes about a minute; pass
+The full n = 1000 variance point takes a few seconds; pass
 ``--variance-n 1000`` to include it.
 """
 

@@ -3,7 +3,7 @@
 
 Builds the exact count table once and prints the normalized variance on
 a geometric-ish grid of n, together with the quadrature value of C for
-reference.  n = 1000 takes about a minute and ~400 MB.
+reference.  n = 1000 takes a few seconds and ~200 MB.
 
     python scripts/variance_scan.py --max-n 500
 """

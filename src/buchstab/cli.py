@@ -32,7 +32,13 @@ from . import counts as counts_mod
 from . import store as store_mod
 from .counts import MemoryCapError, build_table, component_class_by_name
 from .numerics import DEFAULT_PRECISION, as_real
-from .omega import QuadratureConfig, build_omega_ledger, eval_omega, moment_constant
+from .omega import (
+    LedgerRangeError,
+    QuadratureConfig,
+    build_omega_ledger,
+    eval_omega,
+    moment_constant,
+)
 from .omega_k import (
     DEFAULT_MAX_INTERVAL,
     PAPER_TABLE_GRID,
@@ -152,6 +158,11 @@ def _get_omega_ledger(args, n_star: Optional[int] = None):
 
 def _get_omega_k_ledger(args, K: str, n_star: int):
     n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
+    limit = args.max_interval or DEFAULT_MAX_INTERVAL
+    if n_star > limit:  # refuse before reading the cache, as a fresh build would
+        raise LedgerRangeError(
+            f"block {n_star} beyond the configured ledger limit {limit}"
+        )
     cache = _cache(args)
     params = {
         "n_star": n_star,
@@ -162,8 +173,7 @@ def _get_omega_k_ledger(args, K: str, n_star: int):
     if cache is not None:
         art = cache.lookup(store_mod.KIND_OMEGA_K, params)
         if art is not None:
-            return store_mod.omega_k_ledger_from_artifact(art)
-    limit = args.max_interval or DEFAULT_MAX_INTERVAL
+            return store_mod.omega_k_ledger_from_artifact(art, max_interval=limit)
     ledger = OmegaKLedger(K, args.taylor_degree, args.precision, max_interval=limit)
     ledger.ensure(n_star)
     if cache is not None:

@@ -1,22 +1,28 @@
 """Exact enumeration of smallest-component sizes.
 
 Let s(k, n) be the number of labelled objects of size n whose smallest
-irreducible component has exactly k elements; for permutations the
-components are cycles and s(n, n) = (n-1)!.  With c_k components of
-size k (c_k = (k-1)! for permutations), the counts satisfy
+component has exactly k elements; for permutations the components are
+cycles.  Each row is stored as its suffix-sum array: row n keeps
+T(k, n) = sum_{j>=k} s(j, n), the number of permutations of size n
+whose cycles all have at least k elements, for k = 1..n+1.  Tail
+probabilities are read off directly, and cells are recovered by
+differencing two adjacent suffix entries.
 
-    s(k, n) = sum_{i=1}^{floor(n/k)} (c_k^i / i!) * n! / ((k!)^i (n-ki)!)
-              * sum_{j=k+1}^{n-ki} s(j, n-ki)
-            + [k | n] * (c_k^(n/k) / (n/k)!) * n! / (k!)^(n/k)
+The exponential generating function F of permutations with every cycle
+of size >= k satisfies (1-z) F' = z^(k-1) F (Flajolet & Sedgewick,
+Analytic Combinatorics, ch. II), which gives one column at a time
 
-The inner sum over j is a suffix sum of an earlier row, so each row is
-stored as its suffix-sum array: row n keeps T(k, n) = sum_{j>=k} s(j, n)
-for k = 1..n+1.  This makes each cell cost O(n/k) big-integer operations
-and lets tail probabilities be read off directly.  Cells are recovered
-by differencing two adjacent suffix entries.
+    T(k, n) = (n-1) T(k, n-1) + (n-1)!/(n-k)! T(k, n-k),
+    T(k, 0) = 1,  T(k, m) = 0 for 0 < m < k,
 
-Structural facts used as invariants: s(n, n) = c_n, s(k, n) = 0 for
-floor(n/2)+1 <= k <= n-1, and for permutations rows sum to n!.
+with T(1, n) = n!.  The falling factorial (n-1)!/(n-k)! is carried
+down the column, so each cell costs O(1) big-integer operations.
+Derangements are permutations without 1-cycles: their table is the
+permutation table with suffix column 1 replaced by column 2.
+
+Structural facts used as invariants: s(n, n) = (n-1)! for every allowed
+n, s(k, n) = 0 for floor(n/2)+1 <= k <= n-1, and for permutations rows
+sum to n!.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from decimal import Decimal
 
@@ -60,26 +66,27 @@ class MemoryCapError(MemoryError):
 
 @dataclass(frozen=True)
 class ComponentClass:
-    """A labelled class given by its per-size component counts c_k.
+    """Permutations whose cycles all have at least ``smallest`` elements.
 
-    Only the permutation instance carries probability semantics (its
-    rows sum to n!); other weight maps yield raw counts only.
+    There are c_k = (k-1)! components of each allowed size k.  Only
+    permutations (smallest = 1) carry probability semantics (rows sum to
+    n!); derangements (smallest = 2) yield raw counts only.
     """
 
     name: str
-    weight: Callable[[int], int]
+    smallest: int
+
+    def __post_init__(self) -> None:
+        if self.smallest not in (1, 2):  # build_table fills column 1 for these only
+            raise ValueError(f"smallest component size must be 1 or 2, "
+                             f"got {self.smallest}")
 
     def c(self, k: int) -> int:
-        w = self.weight(k)
-        if w < 0:
-            raise ValueError(f"component weight must be >= 0, got c_{k} = {w}")
-        return w
+        return factorial(k - 1) if k >= self.smallest else 0
 
 
-PERMUTATIONS = ComponentClass("permutations", lambda k: factorial(k - 1))
-DERANGEMENTS = ComponentClass(
-    "derangements", lambda k: 0 if k == 1 else factorial(k - 1)
-)
+PERMUTATIONS = ComponentClass("permutations", 1)
+DERANGEMENTS = ComponentClass("derangements", 2)
 
 _BUILTIN_CLASSES = {c.name: c for c in (PERMUTATIONS, DERANGEMENTS)}
 
@@ -167,9 +174,13 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
                 memory_cap: int = DEFAULT_MEMORY_CAP) -> CountTable:
     """Build the exact count table for sizes 1..N.
 
-    Construction is sequential in n (row n reads suffix sums of rows
-    below); a finished table is immutable.  Raises MemoryCapError when
-    the size estimate exceeds ``memory_cap`` bytes.
+    Fills suffix column k = 2..N by the column recurrence of the module
+    docstring, one big-integer step per cell, and writes each entry into
+    the row triangle.  Entries with k <= n < 2k count single n-cycles and
+    are (n-1)!, so they share the factorial integers.  Suffix entry 1 is
+    n! for permutations and the column-2 entry T(2, n) for derangements.
+    A finished table is immutable.  Raises MemoryCapError when the size
+    estimate exceeds ``memory_cap`` bytes.
     """
     if N < 1:
         raise ValueError(f"table size must be >= 1, got {N}")
@@ -184,44 +195,19 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
     for j in range(1, N + 1):
         fact[j] = fact[j - 1] * j
 
-    # Per-size reduced weight a_k / b_k = c_k / k!; for permutations this
-    # collapses to 1/k, which keeps the per-term integers small.
-    reduced: List[Tuple[int, int]] = [(0, 1)] * (N + 1)
-    for k in range(1, N + 1):
-        ck = klass.c(k)
-        g = math.gcd(ck, fact[k]) if ck else fact[k]
-        reduced[k] = (ck // g if ck else 0, fact[k] // g)
-
-    suffix_rows: List[List[int]] = [[]] * (N + 1)
+    suffix_rows: List[List[int]] = [[]] + [[0] * (n + 2) for n in range(1, N + 1)]
+    for k in range(2, N + 1):
+        # a single n-cycle for k <= n < 2k: T(k, n) = (n-1)!
+        col = [1] + [0] * (k - 1) + fact[k - 1:min(2 * k - 1, N)]
+        ff = math.perm(2 * k - 1, k - 1)  # (n-1)!/(n-k)! at n = 2k
+        for n in range(2 * k, N + 1):
+            col.append((n - 1) * col[n - 1] + ff * col[n - k])
+            ff = ff * n // (n + 1 - k)
+        for n in range(k, N + 1):
+            suffix_rows[n][k] = col[n]
     for n in range(1, N + 1):
-        cells = [0] * (n + 2)
-        fn = fact[n]
-        for k in range(1, n // 2 + 1):
-            a, b = reduced[k]
-            if a == 0:
-                continue
-            acc = 0
-            apow = 1
-            bpow = 1
-            for i in range(1, n // k + 1):
-                apow *= a
-                bpow *= b
-                m = n - k * i
-                if m == 0:
-                    # all elements in components of size k (k divides n)
-                    acc += fn * apow // (bpow * fact[i])
-                elif m >= k + 1:
-                    tail = suffix_rows[m][k + 1]
-                    if tail:
-                        acc += tail * (fn * apow // (bpow * fact[i] * fact[m]))
-            cells[k] = acc
-        cells[n] = klass.c(n)  # single component of full size
-
-        suf = [0] * (n + 2)
-        for k in range(n, 0, -1):
-            suf[k] = suf[k + 1] + cells[k]
-        suf[0] = suf[1]
-        suffix_rows[n] = suf
+        row = suffix_rows[n]
+        row[0] = row[1] = fact[n] if klass.smallest == 1 else row[2]
 
     return CountTable(klass, N, suffix_rows, fact)
 

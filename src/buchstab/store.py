@@ -22,7 +22,7 @@ from typing import Any, Dict, List
 
 from .counts import CountTable, component_class_by_name
 from .omega import OmegaBlock, OmegaLedger, QuadratureConfig
-from .omega_k import OmegaKLedger
+from .omega_k import DEFAULT_MAX_INTERVAL, OmegaKLedger
 
 __all__ = [
     "FORMAT_VERSION",
@@ -57,7 +57,7 @@ class VersionError(StoreError):
 
 
 class CorruptArtifactError(StoreError):
-    """Payload checksum does not match the header."""
+    """Payload checksum or shape does not match the header."""
 
 
 def _canonical_bytes(obj: Any) -> bytes:
@@ -97,11 +97,16 @@ def table_from_artifact(art: StoredArtifact) -> CountTable:
         raise StoreError(f"expected a {KIND_COUNT_TABLE} artifact, got {art.kind}")
     klass = component_class_by_name(art.params["class"])
     N = int(art.params["N"])
+    rows = art.payload["rows"]
+    if len(rows) != N:
+        raise CorruptArtifactError(f"count table for N={N} holds {len(rows)} rows")
     fact = [1] * (N + 1)
     for j in range(1, N + 1):
         fact[j] = fact[j - 1] * j
     suffix_rows: List[List[int]] = [[]] * (N + 1)
-    for n, row in enumerate(art.payload["rows"], start=1):
+    for n, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise CorruptArtifactError(f"count table row {n} holds {len(row)} cells")
         cells = [int(c) for c in row]
         suf = [0] * (n + 2)
         for k in range(n, 0, -1):
@@ -109,6 +114,28 @@ def table_from_artifact(art: StoredArtifact) -> CountTable:
         suf[0] = suf[1]
         suffix_rows[n] = suf
     return CountTable(klass, N, suffix_rows, fact)
+
+
+def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
+    """[None, block 1, ..., block n_star], checked against the header."""
+    n_star = int(art.params["n_star"])
+    J = int(art.params["J"])
+    records = art.payload["blocks"]
+    indices = [int(rec["n"]) for rec in records]
+    if indices != list(range(1, n_star + 1)):
+        raise CorruptArtifactError(
+            f"{art.kind} block indices are not 1..{n_star}"
+        )
+    blocks = [None]
+    for n, rec in zip(indices, records):
+        coeffs = tuple(Decimal(c) for c in rec["coeffs"])
+        if len(coeffs) != J + 1:
+            raise CorruptArtifactError(
+                f"{art.kind} block {n} holds {len(coeffs)} coefficients, "
+                f"expected J+1 = {J + 1}"
+            )
+        blocks.append(OmegaBlock(n, coeffs))
+    return blocks  # type: ignore[return-value]
 
 
 def artifact_from_omega_ledger(ledger: OmegaLedger) -> StoredArtifact:
@@ -136,12 +163,7 @@ def omega_ledger_from_artifact(art: StoredArtifact) -> OmegaLedger:
         taylor_degree=int(art.params["J"]),
         precision=int(art.params["p"]),
     )
-    blocks = [None]
-    for rec in art.payload["blocks"]:
-        blocks.append(
-            OmegaBlock(int(rec["n"]), tuple(Decimal(c) for c in rec["coeffs"]))
-        )
-    return OmegaLedger(blocks, cfg)  # type: ignore[arg-type]
+    return OmegaLedger(_blocks_from_payload(art), cfg)
 
 
 def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
@@ -161,19 +183,15 @@ def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
     )
 
 
-def omega_k_ledger_from_artifact(art: StoredArtifact) -> OmegaKLedger:
+def omega_k_ledger_from_artifact(art: StoredArtifact, *,
+                                 max_interval: int = DEFAULT_MAX_INTERVAL
+                                 ) -> OmegaKLedger:
+    """Rebuild the ledger; it keeps growing on demand up to ``max_interval``."""
     if art.kind != KIND_OMEGA_K:
         raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {art.kind}")
-    ledger = OmegaKLedger(art.params["K"], int(art.params["J"]), int(art.params["p"]))
-    blocks = [None, ledger._blocks[1], ledger._blocks[2]]
-    for rec in art.payload["blocks"]:
-        n = int(rec["n"])
-        block = OmegaBlock(n, tuple(Decimal(c) for c in rec["coeffs"]))
-        if n <= 2:
-            blocks[n] = block
-        else:
-            blocks.append(block)
-    ledger._blocks = blocks
+    ledger = OmegaKLedger(art.params["K"], int(art.params["J"]), int(art.params["p"]),
+                          max_interval=max_interval)
+    ledger._blocks = _blocks_from_payload(art)
     return ledger
 
 

@@ -146,6 +146,18 @@ def test_omega_k_first_interval_served_from_cache(capsys, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
 
 
+def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    unlimited = ("omega-k", "--k", "1", "--x", "60.5", "--cache-dir", cache_dir)
+    limited = unlimited + ("--max-interval", "50")
+    for argv, code, out in ((limited, 2, ""), (unlimited, 0, "33.9683\n"),
+                            (limited, 2, "")):  # the last one on a warm cache
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert ("limit 50" in captured.err) == (code == 2)
+
+
 def test_usage_error_exit_codes():
     code, _, err = run_proc("counts")
     assert code == 2

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from buchstab.counts import (
     DERANGEMENTS,
     PERMUTATIONS,
+    ComponentClass,
     MemoryCapError,
     brute_force_counts,
     build_table,
@@ -57,8 +58,11 @@ def test_recurrence_matches_enumeration(table40):
 
 
 def _row_via_unreduced_weights(klass, n, tables):
-    """Independent path: the counting formula with raw c_k and (k!)^i,
-    no weight reduction.  ``tables`` maps m -> row list for m < n."""
+    """Independent path: the multinomial counting formula
+
+        s(k, n) = sum_i (c_k^i / i!) n! / ((k!)^i (n-ki)!) * sum_{j>k} s(j, n-ki)
+
+    with raw c_k and (k!)^i.  ``tables`` maps m -> row list for m < n."""
     fact = math.factorial
     row = [0] * (n + 1)
     for k in range(1, n // 2 + 1):
@@ -80,13 +84,21 @@ def _row_via_unreduced_weights(klass, n, tables):
 
 
 @pytest.mark.parametrize("klass", [PERMUTATIONS, DERANGEMENTS])
-def test_formula_equivalence_reduced_vs_raw(klass):
-    t = build_table(klass, 25)
+def test_column_recurrence_matches_multinomial_formula(klass):
+    t = build_table(klass, 60)
     rows = {}
-    for n in range(1, 26):
+    for n in range(1, 61):
         expected = _row_via_unreduced_weights(klass, n, rows)
         assert t.row(n) == expected
         rows[n] = expected
+
+
+def test_derangements_are_permutations_with_column_1_swapped():
+    perm = build_table(PERMUTATIONS, 50)
+    der = build_table(DERANGEMENTS, 50)
+    for n in range(1, 51):
+        expected = [perm.suffix(n, 2)] + [perm.suffix(n, k) for k in range(2, n + 2)]
+        assert [der.suffix(n, k) for k in range(1, n + 2)] == expected
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -189,3 +201,5 @@ def test_class_registry():
     assert component_class_by_name("permutations") is PERMUTATIONS
     with pytest.raises(ValueError):
         component_class_by_name("graphs")
+    with pytest.raises(ValueError):
+        ComponentClass("no-2-cycles", 3)

@@ -1,3 +1,4 @@
+import copy
 import json
 from decimal import Decimal
 
@@ -9,6 +10,7 @@ from buchstab.omega_k import OmegaKLedger, eval_omega_k
 from buchstab.store import (
     ArtifactCache,
     CorruptArtifactError,
+    StoredArtifact,
     VersionError,
     artifact_from_omega_k_ledger,
     artifact_from_omega_ledger,
@@ -81,6 +83,74 @@ def test_corrupt_payload_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptArtifactError):
         load_artifact(path)
+
+
+def _omega_k_artifact():
+    ledger = OmegaKLedger("0.5")
+    ledger.ensure(10)
+    return artifact_from_omega_k_ledger(ledger)
+
+
+_DECODERS = {
+    "table": (lambda: artifact_from_table(build_table(PERMUTATIONS, 6)),
+              table_from_artifact),
+    "omega": (lambda: artifact_from_omega_ledger(
+        build_omega_ledger(QuadratureConfig(max_interval=8))),
+              omega_ledger_from_artifact),
+    "omega_k": (_omega_k_artifact, omega_k_ledger_from_artifact),
+}
+
+
+def _swap(payload):
+    blocks = payload["blocks"]
+    blocks[4], blocks[5] = blocks[5], blocks[4]
+
+
+def _renumber(payload):
+    payload["blocks"][6]["n"] = 8
+
+
+@pytest.mark.parametrize("which, tamper", [
+    pytest.param("table", lambda p: p["rows"].pop(), id="table-missing-row"),
+    pytest.param("table", lambda p: p["rows"].append(["1"] * 7), id="table-extra-row"),
+    pytest.param("table", lambda p: p["rows"][3].append("0"), id="table-long-row"),
+    pytest.param("table", lambda p: p["rows"][3].pop(), id="table-short-row"),
+    pytest.param("omega_k", lambda p: p["blocks"].pop(0), id="omega_k-no-block-1"),
+    pytest.param("omega_k", lambda p: p["blocks"].pop(5), id="omega_k-gap"),
+    pytest.param("omega_k", lambda p: p["blocks"].pop(), id="omega_k-short"),
+    pytest.param("omega_k", _swap, id="omega_k-swapped"),
+    pytest.param("omega_k", _renumber, id="omega_k-renumbered"),
+    pytest.param("omega_k", lambda p: p["blocks"][4]["coeffs"].pop(),
+                 id="omega_k-short-block"),
+    pytest.param("omega_k", lambda p: p["blocks"][4]["coeffs"].append("0"),
+                 id="omega_k-long-block"),
+    pytest.param("omega", lambda p: p["blocks"].pop(3), id="omega-gap"),
+    pytest.param("omega", _swap, id="omega-swapped"),
+    pytest.param("omega", lambda p: p["blocks"][2]["coeffs"].pop(),
+                 id="omega-short-block"),
+])
+def test_misshapen_payload_rejected_on_load(tmp_path, which, tamper):
+    # the payload is re-checksummed, so only the shape checks can catch it
+    make, decode = _DECODERS[which]
+    art = make()
+    payload = copy.deepcopy(art.payload)
+    tamper(payload)
+    path = tmp_path / "tampered.json"
+    save_artifact(StoredArtifact(art.kind, art.params, payload), path)
+    loaded = load_artifact(path)
+    with pytest.raises(CorruptArtifactError):
+        decode(loaded)
+
+
+def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
+    ledger = OmegaKLedger(1)
+    ledger.ensure(20)
+    path = tmp_path / "omk.json"
+    save_artifact(artifact_from_omega_k_ledger(ledger), path)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(path), max_interval=20)
+    assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
+    with pytest.raises(ValueError, match="limit 20"):
+        eval_omega_k(reloaded, "21.5")
 
 
 def test_cache_hit_and_miss(tmp_path):
