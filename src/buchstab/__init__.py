@@ -2,19 +2,19 @@
 
 Exact counts, distributions and variance of the smallest-component size
 (shortest cycle of a random permutation and friends), the Buchstab
-function and its moment constants by piecewise Taylor series integrated
-term by term, and the generalized Buchstab function Omega_K
-whose reciprocal gives "large smallest component" proportions.
+function omega and its moment constants, and the generalized Buchstab
+function Omega_K whose reciprocal gives "large smallest component"
+proportions.  One piecewise Taylor ledger serves both Buchstab
+functions: omega(x) = Omega_1(x)/x, and its blocks are integrated term
+by term.
 """
 
 from .numerics import (
     DEFAULT_PRECISION,
-    PrecisionConfig,
     PrecisionError,
     as_real,
     exp_neg_gamma,
     factorial,
-    ln_real,
     rational_to_real,
 )
 from .counts import (
@@ -29,27 +29,23 @@ from .counts import (
     build_table,
     component_class_by_name,
     distribution,
-    moment,
     tail_probability,
     variance,
     variance_series,
 )
 from .omega import (
-    LedgerRangeError,
     MomentConstant,
-    OmegaBlock,
-    OmegaLedger,
     QuadratureConfig,
-    TruncationWarning,
-    advance_omega,
     build_omega_ledger,
     eval_omega,
     integrate_block,
     moment_constant,
-    seed_omega,
 )
 from .omega_k import (
+    LedgerRangeError,
+    OmegaBlock,
     OmegaKLedger,
+    TruncationWarning,
     advance_omega_k,
     alpha_vector,
     eval_omega_k,

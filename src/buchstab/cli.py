@@ -32,16 +32,11 @@ from . import counts as counts_mod
 from . import store as store_mod
 from .counts import MemoryCapError, build_table, component_class_by_name
 from .numerics import DEFAULT_PRECISION, as_real
-from .omega import (
-    LedgerRangeError,
-    QuadratureConfig,
-    build_omega_ledger,
-    eval_omega,
-    moment_constant,
-)
+from .omega import QuadratureConfig, eval_omega, moment_constant
 from .omega_k import (
     DEFAULT_MAX_INTERVAL,
     PAPER_TABLE_GRID,
+    LedgerRangeError,
     OmegaKLedger,
     eval_omega_k,
     table_values,
@@ -134,31 +129,20 @@ def _get_table(args, N: int, class_name: str):
     return table
 
 
-def _get_omega_ledger(args, n_star: Optional[int] = None):
-    cfg = QuadratureConfig(
-        max_interval=n_star or args.max_interval or 200,
+def _omega_limit(args) -> int:
+    """n* for omega and constant (default 200), validated with the
+    other omega options by QuadratureConfig."""
+    return QuadratureConfig(
+        max_interval=args.max_interval or 200,
         taylor_degree=args.taylor_degree,
         precision=args.precision,
-    )
-    cache = _cache(args)
-    params = {
-        "n_star": cfg.max_interval,
-        "J": cfg.taylor_degree,
-        "p": cfg.precision,
-    }
-    if cache is not None:
-        art = cache.lookup(store_mod.KIND_OMEGA, params)
-        if art is not None:
-            return store_mod.omega_ledger_from_artifact(art)
-    ledger = build_omega_ledger(cfg)
-    if cache is not None:
-        cache.store(store_mod.artifact_from_omega_ledger(ledger))
-    return ledger
+    ).max_interval
 
 
-def _get_omega_k_ledger(args, K: str, n_star: int):
+def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
+    """The K ledger through block n_star, growable to ``limit``; omega
+    and constant use K = 1, so all omega commands share one cache entry."""
     n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
-    limit = args.max_interval or DEFAULT_MAX_INTERVAL
     if n_star > limit:  # refuse before reading the cache, as a fresh build would
         raise LedgerRangeError(
             f"block {n_star} beyond the configured ledger limit {limit}"
@@ -228,14 +212,16 @@ def cmd_variance_series(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    ledger = _get_omega_ledger(args)
-    value = eval_omega(ledger, args.x)
+    x = as_real(args.x, args.precision)
+    ledger = _get_omega_k_ledger(args, "1", int(x), _omega_limit(args))
+    value = eval_omega(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_constant(args) -> int:
-    ledger = _get_omega_ledger(args)
+    n_star = _omega_limit(args)
+    ledger = _get_omega_k_ledger(args, "1", n_star, n_star)
     const = moment_constant(ledger, args.moment)
     lines = (
         f"constant={format_real(const.value, args.digits)}\n"
@@ -248,7 +234,8 @@ def cmd_constant(args) -> int:
 
 def cmd_omega_k(args) -> int:
     x = as_real(args.x, args.precision)
-    ledger = _get_omega_k_ledger(args, args.k, int(x))
+    ledger = _get_omega_k_ledger(args, args.k, int(x),
+                                 args.max_interval or DEFAULT_MAX_INTERVAL)
     value = eval_omega_k(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
@@ -257,7 +244,8 @@ def cmd_omega_k(args) -> int:
 def cmd_omega_k_table(args) -> int:
     xs = [as_real(x, args.precision) for x in (args.x_list or PAPER_TABLE_GRID)]
     n_star = max(int(x) for x in xs)
-    ledger = _get_omega_k_ledger(args, args.k, n_star)
+    ledger = _get_omega_k_ledger(args, args.k, n_star,
+                                 args.max_interval or DEFAULT_MAX_INTERVAL)
     columns = ["x", "omega_k"]
     rows = [
         [f"{x:f}", format_real(v, args.digits)]

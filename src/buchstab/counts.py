@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from decimal import Decimal
 
@@ -48,7 +48,6 @@ __all__ = [
     "build_table",
     "distribution",
     "tail_probability",
-    "moment",
     "variance",
     "variance_series",
     "brute_force_counts",
@@ -101,16 +100,20 @@ def component_class_by_name(name: str) -> ComponentClass:
         ) from None
 
 
-def estimate_table_bytes(N: int) -> int:
+def estimate_table_bytes(N: int, stop_above: Optional[int] = None) -> int:
     """Rough upper estimate of suffix-table memory for size N.
 
     Row n holds n+2 integers of at most lg(n!) bits; CPython stores ints
-    in 30-bit digits with ~28 bytes of object overhead.
+    in 30-bit digits with ~28 bytes of object overhead.  Summing stops
+    once the total passes ``stop_above``; the result is then a lower
+    bound on the full estimate.
     """
     total = 0
     for n in range(1, N + 1):
         bits = math.lgamma(n + 1) / math.log(2) + 1
         total += (n + 2) * (28 + 4 * (int(bits) // 30 + 1))
+        if stop_above is not None and total > stop_above:
+            break
     return total
 
 
@@ -184,10 +187,10 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
     """
     if N < 1:
         raise ValueError(f"table size must be >= 1, got {N}")
-    est = estimate_table_bytes(N)
+    est = estimate_table_bytes(N, stop_above=memory_cap)
     if est > memory_cap:
         raise MemoryCapError(
-            f"estimated table size {est / 2**20:.0f} MiB exceeds cap "
+            f"estimated table size of at least {est / 2**20:.0f} MiB exceeds cap "
             f"{memory_cap / 2**20:.0f} MiB (N={N})"
         )
 
@@ -252,16 +255,6 @@ def tail_probability(table: CountTable, n: int, k: int) -> Fraction:
     if not 1 <= k <= n:
         raise IndexError(f"k={k} out of range 1..{n}")
     return Fraction(table.suffix(n, k), table.factorial(n))
-
-
-def moment(table: CountTable, n: int, ell: int) -> Fraction:
-    """Exact ell-th moment sum_k k^ell P{X_n = k}."""
-    table._require_permutations("moment")
-    table._check_n(n)
-    if ell < 1:
-        raise ValueError(f"moment order must be >= 1, got {ell}")
-    num = sum(k ** ell * c for k, c in enumerate(table.row(n), start=1))
-    return Fraction(num, table.factorial(n))
 
 
 def variance(table: CountTable, n: int, *, p: int = DEFAULT_PRECISION) -> MomentReport:

@@ -17,7 +17,6 @@ bit-identical digits.  Relative rounding error per operation is below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -25,10 +24,8 @@ __all__ = [
     "DEFAULT_PRECISION",
     "GAMMA_50",
     "PrecisionError",
-    "PrecisionConfig",
     "context",
     "factorial",
-    "ln_real",
     "exp_neg_gamma",
     "rational_to_real",
     "as_real",
@@ -42,17 +39,6 @@ GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
 
 class PrecisionError(ValueError):
     """Raised when a precision request cannot be honoured."""
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working precision in decimal digits (p >= 10)."""
-
-    digits: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        if self.digits < 10:
-            raise PrecisionError(f"precision must be >= 10 digits, got {self.digits}")
 
 
 def context(p: int) -> Context:
@@ -81,15 +67,6 @@ def as_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
     if isinstance(x, float):
         x = repr(x)
     return context(p).create_decimal(x)
-
-
-def ln_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
-    """Natural logarithm of x > 0, correctly rounded to p digits."""
-    ctx = context(p)
-    xd = as_real(x, p)
-    if xd <= 0:
-        raise ValueError(f"ln requires a positive argument, got {xd}")
-    return ctx.ln(xd)
 
 
 def exp_neg_gamma(p: int = DEFAULT_PRECISION) -> Decimal:

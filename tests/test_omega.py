@@ -5,18 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from buchstab.numerics import context, exp_neg_gamma, ln_real
+from buchstab.numerics import DEFAULT_PRECISION, context, exp_neg_gamma
 from buchstab.omega import (
     LedgerRangeError,
     QuadratureConfig,
     TruncationWarning,
-    advance_omega,
     build_omega_ledger,
     eval_omega,
     integrate_block,
     moment_constant,
-    seed_omega,
 )
+from buchstab.omega_k import OmegaBlock, advance_omega_k, seed_block2
 
 # Reference values frozen from independent high-precision quadrature of
 # the closed forms (adaptive quadrature over the exact piecewise
@@ -24,8 +23,11 @@ from buchstab.omega import (
 OMEGA_2_5 = Decimal("0.562186043243265752791205246186")
 OMEGA_3 = Decimal("0.564382393519981769805744040486")
 INT_BLOCK2_ELL2 = Decimal("0.0914439706392268354186521629159")
-C_REFERENCE = Decimal("1.307207798910568")
-M3_REFERENCE = Decimal("1.082447550343336")
+# ell * integral_1^inf omega(u)/u^ell du = ell/(ell-1)! *
+# integral_0^inf s^(ell-1) expm1(E1(s)) ds, from the Laplace transform
+# 1 + L[Omega_1(u)/u](s) = exp(E1(s)), evaluated at 45 digits.
+C_REFERENCE = Decimal("1.30720779891056809974468019429")
+M3_REFERENCE = Decimal("1.08244755034333554720992016731")
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +40,40 @@ def ledger_j64():
     return build_omega_ledger(QuadratureConfig(max_interval=110, taylor_degree=64))
 
 
+def seed_omega(J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
+    """Oracle block 1 of omega itself: c[1, i] = (2/3)(-1/3)^i, the
+    expansion of 1/x about 1.5."""
+    ctx = context(p)
+    coeffs = tuple(
+        ctx.divide(Decimal(2 * (-1) ** i), Decimal(3 ** (i + 1))) for i in range(J + 1)
+    )
+    return OmegaBlock(1, coeffs)
+
+
+def advance_omega(block: OmegaBlock, p: int = DEFAULT_PRECISION) -> OmegaBlock:
+    """Oracle block n+1 of omega from block n, by integrating
+    d(x omega(x))/dx = omega(x-1) across one interval:
+
+        c[n+1, 0] = (1/(2n+3)) sum_i c[n, i] (2(n+1) + (-1)^i / (i+1))
+        c[n+1, i] = (c[n, i-1]/i - c[n+1, i-1]) / (2n+3),   i >= 1.
+    """
+    n = block.n
+    with localcontext(context(p)):
+        divisor = Decimal(2 * n + 3)
+        s = Decimal(0)
+        for i, c in enumerate(block.coeffs):
+            s += c * (Decimal(2 * (n + 1)) + Decimal((-1) ** i) / Decimal(i + 1))
+        out = [s / divisor]
+        for i in range(1, block.degree + 1):
+            out.append((block.coeffs[i - 1] / Decimal(i) - out[i - 1]) / divisor)
+    return OmegaBlock(n + 1, tuple(out))
+
+
 def trapezoid_block(ledger, n: int, log2_steps: int, ell: int) -> Decimal:
     """Oracle for integrate_block: the trapezoid rule with step 2^-log2_steps
-    over block n's Taylor polynomial, evaluated at each grid point."""
-    p = ledger.config.precision
+    over block n's Taylor polynomial of Omega_1 = x omega, divided by
+    t^(ell+1), evaluated at each grid point."""
+    p = ledger.p
     coeffs = ledger.block(n).coeffs
     steps = 2 ** log2_steps
     with localcontext(context(p)):
@@ -52,7 +84,7 @@ def trapezoid_block(ledger, n: int, log2_steps: int, ell: int) -> Decimal:
             y = Decimal(0)
             for c in reversed(coeffs):
                 y = y * z + c
-            return y / (n + t) ** ell
+            return y / (n + t) ** (ell + 1)
 
         values = [f(i * delta) for i in range(steps + 1)]
         return +(delta * (sum(values) - (values[0] + values[-1]) / 2))
@@ -63,7 +95,7 @@ def closed_form(x: Decimal, p: int = 30) -> Decimal:
     ctx = context(p)
     if x < 2:
         return ctx.divide(Decimal(1), x)
-    return ctx.divide(ctx.add(Decimal(1), ln_real(x - 1, p)), x)
+    return ctx.divide(ctx.add(Decimal(1), ctx.ln(x - 1)), x)
 
 
 def test_seed_coefficients():
@@ -84,8 +116,22 @@ def test_eval_at_midpoint_of_first_block(ledger):
 
 def test_advance_block2_values(ledger):
     assert abs(eval_omega(ledger, "2.5") - OMEGA_2_5) < Decimal("1e-19")
-    right_limit = ledger.block(2).boundary_sum(context(30))
+    right_limit = ledger.block(2).eval(Decimal(1), context(30)) / 3  # Omega_1(3-)/3
     assert abs(right_limit - OMEGA_3) < Decimal("1e-19")
+
+
+def test_matches_omega_recurrence_oracle(ledger):
+    # omega's own Taylor chain, kept here as an oracle for Omega_1(x)/x
+    ctx = context(30)
+    blocks = [None, seed_omega(40, 30)]
+    for n in range(1, 199):
+        blocks.append(advance_omega(blocks[n], 30))
+    rng = random.Random(1975)
+    for _ in range(2000):
+        x = Decimal(repr(rng.uniform(1.0, 199.999)))
+        n = int(x)
+        z = 2 * (x - n) - 1
+        assert abs(eval_omega(ledger, x) - blocks[n].eval(z, ctx)) < Decimal("1e-19"), x
 
 
 def test_closed_form_agreement_tight(ledger_j64):
@@ -101,8 +147,8 @@ def test_closed_form_agreement_tight(ledger_j64):
 def test_knot_continuity(ledger_j64):
     ctx = context(30)
     for n in range(2, 101):
-        left = ledger_j64.block(n - 1).boundary_sum(ctx)
-        right = ledger_j64.block(n).eval(Decimal(-1), ctx)
+        left = ledger_j64.block(n - 1).eval(Decimal(1), ctx) / n
+        right = ledger_j64.block(n).eval(Decimal(-1), ctx) / n
         assert abs(left - right) < Decimal("1e-25"), n
 
 
@@ -141,10 +187,10 @@ def test_block_eval_out_of_range(ledger):
 
 
 def test_truncation_warning():
-    block = seed_omega(8, 30)
+    block = seed_block2(1, 8, 30)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        advance_omega(block, target_digits=12)
+        advance_omega_k(block, 1, 30, target_digits=12)
     assert any(issubclass(x.category, TruncationWarning) for x in w)
 
 
@@ -170,13 +216,13 @@ def test_moment_constant_variance(ledger):
     const = moment_constant(ledger, 2)
     assert const.first_interval == Fraction(3, 4)
     assert abs(const.value - Decimal("1.3070")) < Decimal("1e-3")
-    assert abs(const.value - C_REFERENCE) < Decimal("1e-14")
+    assert abs(const.value - C_REFERENCE) < Decimal("1e-21")
 
 
 def test_moment_constant_third_order(ledger):
     const = moment_constant(ledger, 3)
     assert Decimal("1.0") < const.value < Decimal("1.2")
-    assert abs(const.value - M3_REFERENCE) < Decimal("1e-14")
+    assert abs(const.value - M3_REFERENCE) < Decimal("1e-21")
 
 
 def test_moment_constant_small_truncation():

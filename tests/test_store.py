@@ -13,11 +13,9 @@ from buchstab.store import (
     StoredArtifact,
     VersionError,
     artifact_from_omega_k_ledger,
-    artifact_from_omega_ledger,
     artifact_from_table,
     load_artifact,
     omega_k_ledger_from_artifact,
-    omega_ledger_from_artifact,
     save_artifact,
     table_from_artifact,
 )
@@ -43,13 +41,15 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_omega_ledger_round_trip(tmp_path):
+    # omega is served from the K = 1 ledger, stored as an omega-k artifact
     ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
     before = str(eval_omega(ledger, "2.5"))
     path = tmp_path / "omega.json"
-    save_artifact(artifact_from_omega_ledger(ledger), path)
-    reloaded = omega_ledger_from_artifact(load_artifact(path))
+    save_artifact(artifact_from_omega_k_ledger(ledger), path)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(path), max_interval=20)
     assert str(eval_omega(reloaded, "2.5")) == before
-    assert reloaded.config == ledger.config
+    assert (reloaded.K, reloaded.J, reloaded.p, reloaded.max_interval,
+            reloaded.built_through) == (1, 40, 30, 20, 20)
 
 
 def test_omega_k_ledger_round_trip(tmp_path):
@@ -94,9 +94,9 @@ def _omega_k_artifact():
 _DECODERS = {
     "table": (lambda: artifact_from_table(build_table(PERMUTATIONS, 6)),
               table_from_artifact),
-    "omega": (lambda: artifact_from_omega_ledger(
+    "omega": (lambda: artifact_from_omega_k_ledger(
         build_omega_ledger(QuadratureConfig(max_interval=8))),
-              omega_ledger_from_artifact),
+              omega_k_ledger_from_artifact),
     "omega_k": (_omega_k_artifact, omega_k_ledger_from_artifact),
 }
 
@@ -108,6 +108,18 @@ def _swap(payload):
 
 def _renumber(payload):
     payload["blocks"][6]["n"] = 8
+
+
+def _set_cell(value):
+    def tamper(payload):
+        payload["rows"][4][1] = value
+    return tamper
+
+
+def _set_coeff(value):
+    def tamper(payload):
+        payload["blocks"][4]["coeffs"][3] = value
+    return tamper
 
 
 @pytest.mark.parametrize("which, tamper", [
@@ -128,6 +140,15 @@ def _renumber(payload):
     pytest.param("omega", _swap, id="omega-swapped"),
     pytest.param("omega", lambda p: p["blocks"][2]["coeffs"].pop(),
                  id="omega-short-block"),
+    pytest.param("table", _set_cell("12x"), id="table-garbage-count"),
+    pytest.param("table", _set_cell("-3"), id="table-negative-count"),
+    pytest.param("table", _set_cell("1.5"), id="table-fractional-count"),
+    pytest.param("table", _set_cell(7), id="table-unquoted-count"),
+    pytest.param("omega_k", _set_coeff("garbage"), id="omega_k-garbage-coeff"),
+    pytest.param("omega_k", _set_coeff("NaN"), id="omega_k-nan-coeff"),
+    pytest.param("omega_k", _set_coeff("-Infinity"), id="omega_k-infinite-coeff"),
+    pytest.param("omega_k", _set_coeff(0.25), id="omega_k-unquoted-coeff"),
+    pytest.param("omega", _set_coeff("sNaN"), id="omega-snan-coeff"),
 ])
 def test_misshapen_payload_rejected_on_load(tmp_path, which, tamper):
     # the payload is re-checksummed, so only the shape checks can catch it
