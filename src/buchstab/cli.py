@@ -213,7 +213,8 @@ def cmd_variance_series(args) -> int:
 
 def cmd_omega(args) -> int:
     x = as_real(args.x, args.precision)
-    ledger = _get_omega_k_ledger(args, "1", int(x), _omega_limit(args))
+    n_star = _omega_limit(args)
+    ledger = _get_omega_k_ledger(args, "1", n_star, n_star)
     value = eval_omega(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from decimal import Decimal
 
@@ -100,19 +100,18 @@ def component_class_by_name(name: str) -> ComponentClass:
         ) from None
 
 
-def estimate_table_bytes(N: int, stop_above: Optional[int] = None) -> int:
-    """Rough upper estimate of suffix-table memory for size N.
+def estimate_table_bytes(N: int, cap: int) -> int:
+    """Rough upper estimate of suffix-table memory for size N, or a lower
+    bound on it once the running total passes ``cap``.
 
     Row n holds n+2 integers of at most lg(n!) bits; CPython stores ints
-    in 30-bit digits with ~28 bytes of object overhead.  Summing stops
-    once the total passes ``stop_above``; the result is then a lower
-    bound on the full estimate.
+    in 30-bit digits with ~28 bytes of object overhead.
     """
     total = 0
     for n in range(1, N + 1):
         bits = math.lgamma(n + 1) / math.log(2) + 1
         total += (n + 2) * (28 + 4 * (int(bits) // 30 + 1))
-        if stop_above is not None and total > stop_above:
+        if total > cap:
             break
     return total
 
@@ -187,7 +186,7 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
     """
     if N < 1:
         raise ValueError(f"table size must be >= 1, got {N}")
-    est = estimate_table_bytes(N, stop_above=memory_cap)
+    est = estimate_table_bytes(N, memory_cap)
     if est > memory_cap:
         raise MemoryCapError(
             f"estimated table size of at least {est / 2**20:.0f} MiB exceeds cap "

@@ -18,10 +18,10 @@ import os
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .counts import CountTable, component_class_by_name
-from .omega_k import DEFAULT_MAX_INTERVAL, OmegaBlock, OmegaKLedger
+from .omega_k import OmegaBlock, OmegaKLedger
 
 __all__ = [
     "FORMAT_VERSION",
@@ -171,14 +171,17 @@ def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
 
 
 def omega_k_ledger_from_artifact(art: StoredArtifact, *,
-                                 max_interval: int = DEFAULT_MAX_INTERVAL
+                                 max_interval: Optional[int] = None
                                  ) -> OmegaKLedger:
-    """Rebuild the ledger; it keeps growing on demand up to ``max_interval``."""
+    """Rebuild the ledger; it keeps growing on demand up to ``max_interval``,
+    by default the stored n_star, so that a reloaded omega ledger keeps
+    the n* that ``moment_constant`` reads from it."""
     if art.kind != KIND_OMEGA_K:
         raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {art.kind}")
+    blocks = _blocks_from_payload(art)
     ledger = OmegaKLedger(art.params["K"], int(art.params["J"]), int(art.params["p"]),
-                          max_interval=max_interval)
-    ledger._blocks = _blocks_from_payload(art)
+                          max_interval=max_interval or len(blocks) - 1)
+    ledger._blocks = blocks
     return ledger
 
 

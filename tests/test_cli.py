@@ -164,6 +164,7 @@ def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     for argv in (("omega-k", "--k", "1", "--x", "20.5"),
                  ("omega", "--x", "20.5", "--max-interval", "20"),
+                 ("omega", "--x", "3.5", "--max-interval", "20"),
                  ("constant", "--max-interval", "20")):
         code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
         assert code == 0 and out, argv

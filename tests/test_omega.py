@@ -98,11 +98,9 @@ def closed_form(x: Decimal, p: int = 30) -> Decimal:
     return ctx.divide(ctx.add(Decimal(1), ctx.ln(x - 1)), x)
 
 
-def test_seed_coefficients():
-    block = seed_omega(40, 30)
-    ctx = context(30)
-    assert block.coeffs[0] == ctx.divide(Decimal(2), Decimal(3))
-    assert block.coeffs[1] == ctx.divide(Decimal(-2), Decimal(9))
+def test_seed_coefficients(ledger):
+    # block 1 of Omega_1 = x*omega is exactly the constant 1
+    assert list(ledger.block(1).coeffs) == [1] + [0] * 40
 
 
 def test_seed_geometric_sum_is_omega_of_one(ledger):

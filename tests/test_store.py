@@ -5,7 +5,12 @@ from decimal import Decimal
 import pytest
 
 from buchstab.counts import PERMUTATIONS, build_table
-from buchstab.omega import QuadratureConfig, build_omega_ledger, eval_omega
+from buchstab.omega import (
+    QuadratureConfig,
+    build_omega_ledger,
+    eval_omega,
+    moment_constant,
+)
 from buchstab.omega_k import OmegaKLedger, eval_omega_k
 from buchstab.store import (
     ArtifactCache,
@@ -50,6 +55,16 @@ def test_omega_ledger_round_trip(tmp_path):
     assert str(eval_omega(reloaded, "2.5")) == before
     assert (reloaded.K, reloaded.J, reloaded.p, reloaded.max_interval,
             reloaded.built_through) == (1, 40, 30, 20, 20)
+
+
+def test_reloaded_omega_ledger_keeps_moment_constant(tmp_path):
+    # without max_interval the reloaded ledger keeps the stored n*
+    ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
+    path = tmp_path / "omega.json"
+    save_artifact(artifact_from_omega_k_ledger(ledger), path)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    assert reloaded.max_interval == 20
+    assert moment_constant(reloaded) == moment_constant(ledger)
 
 
 def test_omega_k_ledger_round_trip(tmp_path):
