@@ -45,7 +45,6 @@ from .omega_k import (
     LedgerRangeError,
     OmegaBlock,
     OmegaKLedger,
-    TruncationWarning,
     advance_omega_k,
     alpha_vector,
     eval_omega_k,

@@ -24,14 +24,14 @@ import csv
 import io
 import json
 import sys
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import counts as counts_mod
 from . import store as store_mod
 from .counts import MemoryCapError, build_table, component_class_by_name
-from .numerics import DEFAULT_PRECISION, as_real
+from .numerics import DEFAULT_PRECISION, as_real, int_str
 from .omega import QuadratureConfig, eval_omega, moment_constant
 from .omega_k import (
     DEFAULT_MAX_INTERVAL,
@@ -52,16 +52,18 @@ DEFAULT_DIGITS = 6
 
 
 def format_real(value: Decimal, digits: int = DEFAULT_DIGITS) -> str:
-    """Fixed significant-digit positional rendering (trailing zeros kept)."""
+    """Fixed significant-digit positional rendering (trailing zeros kept),
+    with the exponent taken after rounding (0.9999996 -> 1.00000)."""
     if value == 0:
         return "0." + "0" * (digits - 1)
-    exp = value.adjusted() - digits + 1
-    q = value.quantize(Decimal(1).scaleb(exp), rounding=ROUND_HALF_EVEN)
-    return f"{q:f}"
+    ctx = Context(prec=digits)  # round half even
+    q = ctx.plus(value)
+    return f"{ctx.quantize(q, Decimal(1).scaleb(q.adjusted() - digits + 1)):f}"
 
 
 def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    num = int_str(q.numerator)
+    return f"{num}/{int_str(q.denominator)}" if q.denominator != 1 else num
 
 
 class OutputTable:
@@ -103,8 +105,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help=f"working precision in decimal digits "
                              f"(default {DEFAULT_PRECISION})")
-    parser.add_argument("--taylor-degree", type=int, default=40,
-                        help="Taylor truncation degree J (default 40)")
     parser.add_argument("--max-interval", type=int, default=None,
                         help="last Taylor block n* (default 200 for omega; "
                              "grown on demand for omega-k)")
@@ -132,11 +132,8 @@ def _get_table(args, N: int, class_name: str):
 def _omega_limit(args) -> int:
     """n* for omega and constant (default 200), validated with the
     other omega options by QuadratureConfig."""
-    return QuadratureConfig(
-        max_interval=args.max_interval or 200,
-        taylor_degree=args.taylor_degree,
-        precision=args.precision,
-    ).max_interval
+    return QuadratureConfig(max_interval=args.max_interval or 200,
+                            precision=args.precision).max_interval
 
 
 def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
@@ -150,7 +147,6 @@ def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
     cache = _cache(args)
     params = {
         "n_star": n_star,
-        "J": args.taylor_degree,
         "p": args.precision,
         "K": str(as_real(K, args.precision)),
     }
@@ -158,7 +154,7 @@ def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
         art = cache.lookup(store_mod.KIND_OMEGA_K, params)
         if art is not None:
             return store_mod.omega_k_ledger_from_artifact(art, max_interval=limit)
-    ledger = OmegaKLedger(K, args.taylor_degree, args.precision, max_interval=limit)
+    ledger = OmegaKLedger(K, args.precision, max_interval=limit)
     ledger.ensure(n_star)
     if cache is not None:
         cache.store(store_mod.artifact_from_omega_k_ledger(ledger))
@@ -174,7 +170,7 @@ def cmd_counts(args) -> int:
     columns = ["n"] + [f"k={k}" for k in range(1, args.n + 1)]
     rows = []
     for n in range(1, args.n + 1):
-        row = [str(n)] + [str(c) for c in table.row(n)]
+        row = [str(n)] + [int_str(c) for c in table.row(n)]
         row += [""] * (args.n - n)
         rows.append(row)
     _emit(OutputTable(columns, rows).render(args.format), args.out)

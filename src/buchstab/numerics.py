@@ -17,7 +17,7 @@ bit-identical digits.  Relative rounding error per operation is below
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "exp_neg_gamma",
     "rational_to_real",
     "as_real",
+    "int_str",
 ]
 
 DEFAULT_PRECISION = 30
@@ -59,6 +60,7 @@ def as_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
     """Coerce int/str/Decimal/Fraction/float to Decimal at precision p.
 
     Floats go through repr() so that e.g. 0.1 means the literal "0.1".
+    A str, int or float that is not a finite number raises ValueError.
     """
     if isinstance(x, Decimal):
         return x
@@ -66,7 +68,19 @@ def as_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
         return rational_to_real(x, p)
     if isinstance(x, float):
         x = repr(x)
-    return context(p).create_decimal(x)
+    try:
+        d = context(p).create_decimal(x)
+    except InvalidOperation:
+        d = None
+    if d is None or not d.is_finite():
+        raise ValueError(f"not a finite number: {x!r}")
+    return d
+
+
+def int_str(n: int) -> str:
+    """Digits of an exact integer; Decimal formats those too long for
+    str() under CPython's default 4300-digit limit (str is faster)."""
+    return str(n) if n.bit_length() < 14000 else f"{Decimal(n):f}"
 
 
 def exp_neg_gamma(p: int = DEFAULT_PRECISION) -> Decimal:

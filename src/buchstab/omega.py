@@ -21,10 +21,10 @@ t = n + (1+z)/2 = (1 + r z)/(2r) with r = 1/(2n+1) <= 1/5, so with
 m = ell + 1, omega(t)/t^ell = Omega_1(t)/t^m = (2r)^m P(z) (1 + r z)^-m;
 ``series_over_binomial`` gives that product series (the Omega_K advance
 uses the same kernel with m = 1) and integral_{-1}^{1} z^i dz = 2/(i+1)
-for even i.  Defaults (p=30, J=40, n*=200) give
-C = 1.30720779891056809974..., 8e-23 from the value of the Laplace
+for even i.  Defaults (p=30, n*=200) give
+C = 1.3072077989105680997446802..., 3e-28 from the value of the Laplace
 transform route; the printed error budget, 1e-6, is the tail band; its
-truncation terms are below 1e-20.
+truncation terms are below 1e-29.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ from .numerics import DEFAULT_PRECISION, as_real, context, exp_neg_gamma
 from .omega_k import (
     LedgerRangeError,
     OmegaKLedger,
-    TruncationWarning,
     eval_omega_k,
     series_over_binomial,
 )
 
 __all__ = [
     "LedgerRangeError",
-    "TruncationWarning",
     "QuadratureConfig",
     "MomentConstant",
     "build_omega_ledger",
@@ -59,19 +57,15 @@ class QuadratureConfig:
     """Truncation and precision parameters for omega work.
 
     max_interval last Taylor block n* (tail handled analytically)
-    taylor_degree J, the per-block truncation degree
-    precision    working decimal digits
+    precision    working decimal digits; it also sets each block's length
     """
 
     max_interval: int = 200
-    taylor_degree: int = 40
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         if self.max_interval < 5:
             raise ValueError(f"max_interval must be >= 5, got {self.max_interval}")
-        if self.taylor_degree < 8:
-            raise ValueError(f"taylor_degree must be >= 8, got {self.taylor_degree}")
         if self.precision < 10:
             raise ValueError(f"precision must be >= 10, got {self.precision}")
 
@@ -84,8 +78,7 @@ def _require_k1(ledger: OmegaKLedger) -> None:
 
 def build_omega_ledger(config: QuadratureConfig = QuadratureConfig()) -> OmegaKLedger:
     """The K = 1 ledger, limited to and grown through block n*."""
-    ledger = OmegaKLedger(1, config.taylor_degree, config.precision,
-                          max_interval=config.max_interval)
+    ledger = OmegaKLedger(1, config.precision, max_interval=config.max_interval)
     ledger.ensure(config.max_interval)
     return ledger
 
@@ -103,9 +96,10 @@ def integrate_block(ledger: OmegaKLedger, n: int, moment_order: int = 2) -> Deci
 
     With r = 1/(2n+1) the integral is (2r)^m sum_{even i} d_i/(i+1),
     d the coefficients of P(z) (1 + r z)^-m.  The series is cut where
-    the dropped terms total less than 10^-p: a coefficient d_i with
-    i > J + K combines the coefficients b_k = C(m+k-1, k) (-r)^k of
-    (1 + r z)^-m with k > K only, so the dropped d_i total at most
+    the dropped terms total less than 10^-p: with D the block's degree,
+    a coefficient d_i with i > D + K combines the coefficients
+    b_k = C(m+k-1, k) (-r)^k of (1 + r z)^-m with k > K only, so the
+    dropped d_i total at most
     sum_j |c_j| * sum_{k>K} |b_k|, and |b_{k+1}/b_k| = r (m+k)/(k+1)
     falls as k grows.
     """
@@ -126,7 +120,7 @@ def integrate_block(ledger: OmegaKLedger, n: int, moment_order: int = 2) -> Deci
             if rho < 1 and weight * b_next < eps * (1 - rho):
                 break
             b, K = b_next, K + 1
-        d = series_over_binomial(block.coeffs, r, m, block.degree + K + 1, p)
+        d = series_over_binomial(block.coeffs, r, m, len(block.coeffs) + K, p)
         total = sum(d[i] / (i + 1) for i in range(0, len(d), 2))
         return +((2 * r) ** m * total)
 
@@ -153,8 +147,8 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
                   + exp(-gamma) * n*^(1-ell) / (ell-1) ]          (tail)
 
     n* is the ledger's limit.  The budget is ell * (per-block Taylor
-    truncation + series truncation) plus the 1e-4 tail band scaled by
-    the tail weight.
+    truncation, which each block's cut keeps below 10^-p |c_0|, + series
+    truncation) plus the 1e-4 tail band scaled by the tail weight.
     """
     ell = moment_order
     if ell < 2:
@@ -169,10 +163,9 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
         trunc = Decimal(0)
         for n in range(2, n_star):
             quad += integrate_block(ledger, n, ell)
-            # evaluation error of a truncated Omega_1 block, with geometric
-            # slack, and integrate_block's series cut, both weighted by
-            # 1/t^(ell+1) <= 1/n^(ell+1)
-            trunc += (3 * abs(ledger.block(n).coeffs[-1]) + eps) / Decimal(n) ** (ell + 1)
+            # the block's cut and integrate_block's series cut, both
+            # weighted by 1/t^(ell+1) <= 1/n^(ell+1)
+            trunc += (abs(ledger.block(n).coeffs[0]) + 1) * eps / Decimal(n) ** (ell + 1)
         egamma = exp_neg_gamma(min(p, 50))
         tail = egamma * Decimal(n_star) ** (1 - ell) / Decimal(ell - 1)
         value = Decimal(first.numerator) / Decimal(first.denominator) \

@@ -15,17 +15,22 @@ equation), so ``omega`` serves the Buchstab function and its moment
 constants from the K = 1 ledger.
 
 On [n, n+1) write Omega_K(n + (1+z)/2) = sum_i c[n, i] z^i
-(``OmegaBlock``).  Block 1 is constant 1.  Block 2 comes from the exact
-closed form Omega_K = 1 + K ln(x-1) on [2, 3): c[2, 0] = 1 + K ln(3/2)
+(``OmegaBlock``).  Block 1 is the constant 1.  Block 2 comes from the
+exact closed form Omega_K = 1 + K ln(x-1) on [2, 3): c[2, 0] = 1 + K ln(3/2)
 and c[2, i] = K (-1)^(i-1) / (i 3^i).  For n >= 3 the defining integral
 gives, with alpha the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1,
 
     alpha_i = c[n-1, i] - alpha_{i-1}/(2n-1)
 
-(``series_over_binomial`` with m = 1, O(J) per block), the advance
+(``series_over_binomial`` with m = 1, O(len) per block), the advance
 rules c[n, i] = K alpha_{i-1} / ((2n-1) i) for i >= 1 and
 c[n, 0] = sum_i c[n-1, i] - (K/(2n-1)) sum_i (-1)^(i+1) alpha_i/(i+1),
 which make the blocks join continuously at the knots.
+
+Each block is cut where a bound on its dropped coefficients falls
+below 10^-p |c_0|, so p alone sets the accuracy.  An advanced block
+starts from its natural length len(prev) + 1; past it alpha is exactly
+geometric in -1/(2n-1), which bounds the rest in closed form.
 
 ``oracle_quadrature`` solves the defining integral equation directly by
 the method of steps with composite Simpson quadrature on a per-interval
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from typing import Dict, List, Sequence, Tuple
@@ -48,7 +52,6 @@ from .numerics import DEFAULT_PRECISION, as_real, context
 
 __all__ = [
     "LedgerRangeError",
-    "TruncationWarning",
     "OmegaBlock",
     "series_over_binomial",
     "OmegaKLedger",
@@ -72,17 +75,9 @@ PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
     2 ** e for e in range(4, 14)
 )
 
-# Coefficients below this size cannot hurt the stated acceptance
-# tolerances; used as the default truncation alarm threshold exponent.
-DEFAULT_TARGET_DIGITS = 12
-
 
 class LedgerRangeError(ValueError):
     """Evaluation point outside the ledger's covered interval."""
-
-
-class TruncationWarning(UserWarning):
-    """Taylor degree J too small for the requested target precision."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,6 @@ class OmegaBlock:
     n: int
     coeffs: Tuple[Decimal, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def eval(self, z: Decimal, ctx: Context) -> Decimal:
         acc = Decimal(0)
         for c in reversed(self.coeffs):
@@ -103,14 +94,16 @@ class OmegaBlock:
         return acc
 
 
-def _check_truncation(tail_coeff: Decimal, n: int, target_digits: int) -> None:
-    if abs(tail_coeff) >= Decimal(1).scaleb(-(target_digits + 2)):
-        warnings.warn(
-            f"block {n}: |c[J]| = {tail_coeff:.2e} exceeds 1e-{target_digits + 2}; "
-            f"increase the Taylor degree for {target_digits}-digit targets",
-            TruncationWarning,
-            stacklevel=3,
-        )
+def _cut(coeffs: Sequence[Decimal], tail: Decimal, p: int) -> Tuple[Decimal, ...]:
+    """The shortest prefix of ``coeffs`` whose dropped coefficients, plus
+    ``tail`` (a bound on the sum of |c_i| past the end of ``coeffs``),
+    total less than 10^-p |c_0|.  Call under a p-digit context."""
+    limit = abs(coeffs[0]).scaleb(-p)
+    length = len(coeffs)
+    while length > 1 and tail + abs(coeffs[length - 1]) < limit:
+        length -= 1
+        tail += abs(coeffs[length])
+    return tuple(coeffs[:length])
 
 
 def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
@@ -131,17 +124,17 @@ def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
     return out
 
 
-def seed_block1(J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
-    """Block 1: Omega_K = 1 on [1, 2)."""
-    context(p)  # validate p
-    return OmegaBlock(1, (Decimal(1),) + (Decimal(0),) * J)
+def seed_block1() -> OmegaBlock:
+    """Block 1: Omega_K = 1 on [1, 2), exactly."""
+    return OmegaBlock(1, (Decimal(1),))
 
 
-def seed_block2(K, J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
+def seed_block2(K, p: int = DEFAULT_PRECISION) -> OmegaBlock:
     """Block 2 from the closed form 1 + K ln(x-1) on [2, 3).
 
     With x = 2 + (1+z)/2, ln(x-1) = ln(3/2) + ln(1 + z/3), whose series
-    gives the coefficients directly.
+    gives the coefficients directly.  It stops at the first i whose
+    bound 3K/(2 i 3^i) on the terms from i on is below 10^-p c_0.
     """
     ctx = context(p)
     Kd = as_real(K, p)
@@ -149,47 +142,45 @@ def seed_block2(K, J: int = 40, p: int = DEFAULT_PRECISION) -> OmegaBlock:
         raise ValueError(f"class parameter K must be > 0, got {Kd}")
     with localcontext(ctx):
         c0 = 1 + Kd * (Decimal(3) / Decimal(2)).ln()
+        limit = c0.scaleb(-p)
         coeffs = [c0]
-        for i in range(1, J + 1):
+        i = 1
+        while 3 * Kd / (2 * i * Decimal(3) ** i) >= limit:
             coeffs.append(Kd * Decimal((-1) ** (i - 1)) / Decimal(i * 3 ** i))
+            i += 1
     return OmegaBlock(2, tuple(coeffs))
 
 
 def alpha_vector(prev: OmegaBlock, n: int, p: int = DEFAULT_PRECISION
                  ) -> Tuple[Decimal, ...]:
-    """alpha_i = sum_{j<=i} (-1)^(i-j) (2n-1)^-(i-j) c[n-1, j] for i = 0..J.
+    """alpha_i = sum_{j<=i} (-1)^(i-j) (2n-1)^-(i-j) c[n-1, j] for i < len(prev).
 
     These are the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1.
     """
     if n < 3:
         raise ValueError(f"alpha vector is defined for target blocks n >= 3, got {n}")
     r = context(p).divide(Decimal(1), Decimal(2 * n - 1))
-    return tuple(series_over_binomial(prev.coeffs, r, 1, prev.degree + 1, p))
+    return tuple(series_over_binomial(prev.coeffs, r, 1, len(prev.coeffs), p))
 
 
-def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION, *,
-                    target_digits: int = DEFAULT_TARGET_DIGITS) -> OmegaBlock:
-    """Derive block n = prev.n + 1 (n >= 3) from the alpha vector."""
+def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlock:
+    """Derive block n = prev.n + 1 (n >= 3) from the alpha vector, cut
+    where its dropped coefficients total less than 10^-p |c_0|."""
     n = prev.n + 1
-    if n < 3:
-        raise ValueError("advance applies from block 2 onward; use the seeds below 3")
-    J = prev.degree
+    L = len(prev.coeffs)
     Kd = as_real(K, p)
     alpha = alpha_vector(prev, n, p)
     with localcontext(context(p)):
         m = Decimal(2 * n - 1)
-        s_prev = Decimal(0)
-        for c in prev.coeffs:
-            s_prev += c
-        s_alpha = Decimal(0)
-        for i, a in enumerate(alpha):
-            s_alpha += Decimal((-1) ** (i + 1)) * a / Decimal(i + 1)
-        c0 = s_prev - Kd / m * s_alpha
-        coeffs = [c0]
-        for i in range(1, J + 1):
-            coeffs.append(Kd * alpha[i - 1] / (m * Decimal(i)))
-    _check_truncation(coeffs[J], n, target_digits)
-    return OmegaBlock(n, tuple(coeffs))
+        s_prev = sum(prev.coeffs, Decimal(0))
+        s_alpha = sum((Decimal((-1) ** (i + 1)) * a / Decimal(i + 1)
+                       for i, a in enumerate(alpha)), Decimal(0))
+        coeffs = [s_prev - Kd / m * s_alpha]
+        coeffs += [Kd * alpha[i - 1] / (m * Decimal(i)) for i in range(1, L + 1)]
+        # alpha is geometric in -1/m past alpha_{L-1}: coefficients i > L total
+        # at most K |alpha_{L-1}| / (m (L+1) (m-1)), and so do the terms c0 omits
+        tail = 2 * Kd * abs(alpha[L - 1]) / (m * (L + 1) * (m - 1))
+        return OmegaBlock(n, _cut(coeffs, tail, p))
 
 
 class OmegaKLedger:
@@ -200,19 +191,16 @@ class OmegaKLedger:
     lock, so threads may share a ledger; reads of built blocks take none.
     """
 
-    def __init__(self, K, J: int = 40, p: int = DEFAULT_PRECISION, *,
+    def __init__(self, K, p: int = DEFAULT_PRECISION, *,
                  max_interval: int = DEFAULT_MAX_INTERVAL):
         self.K = as_real(K, p)
-        if self.K <= 0:
-            raise ValueError(f"class parameter K must be > 0, got {self.K}")
-        self.J = J
         self.p = p
         self.max_interval = max_interval
         self._grow_lock = threading.Lock()
         self._blocks: List[OmegaBlock] = [
             None,  # type: ignore[list-item]
-            seed_block1(J, p),
-            seed_block2(self.K, J, p),
+            seed_block1(),
+            seed_block2(self.K, p),
         ]
 
     @property

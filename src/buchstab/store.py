@@ -6,7 +6,8 @@ payload, and a SHA-256 checksum of the canonical payload bytes.  All
 numbers are serialized as decimal strings: integer counts keep every
 digit, Decimal coefficients keep all p working digits, so a load/save
 round trip is byte-identical and evaluation after reload produces the
-same digits as before saving.
+same digits as before saving.  Format 2 lets each ledger block carry its
+own number of coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .counts import CountTable, component_class_by_name
+from .numerics import int_str
 from .omega_k import OmegaBlock, OmegaKLedger
 
 __all__ = [
@@ -38,7 +40,7 @@ __all__ = [
     "ArtifactCache",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 KIND_COUNT_TABLE = "count-table"
 KIND_OMEGA_K = "omega-k-ledger"
@@ -79,7 +81,7 @@ class StoredArtifact:
 
 def artifact_from_table(table: CountTable) -> StoredArtifact:
     rows: List[List[str]] = [
-        [str(c) for c in table.row(n)] for n in range(1, table.N + 1)
+        [int_str(c) for c in table.row(n)] for n in range(1, table.N + 1)
     ]
     return StoredArtifact(
         KIND_COUNT_TABLE,
@@ -89,10 +91,11 @@ def artifact_from_table(table: CountTable) -> StoredArtifact:
 
 
 def _counts(raw: List[Any], where: str) -> List[int]:
-    """Count cells: ASCII decimal digits of non-negative integers."""
+    """Count cells: ASCII decimal digits of non-negative integers, read
+    through Decimal past int()'s default 4300-digit limit."""
     if not all(type(c) is str and c.isascii() and c.isdigit() for c in raw):
         raise CorruptArtifactError(f"{where} holds a cell that is not a count")
-    return [int(c) for c in raw]
+    return [int(c) if len(c) <= 4300 else int(Decimal(c)) for c in raw]
 
 
 def _coefficients(raw: List[Any], where: str) -> Tuple[Decimal, ...]:
@@ -132,9 +135,11 @@ def table_from_artifact(art: StoredArtifact) -> CountTable:
 
 
 def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
-    """[None, block 1, ..., block n_star], checked against the header."""
+    """[None, block 1, ..., block n_star], checked against the header.
+
+    Every block is non-empty, and an advanced block (n >= 3) is at most
+    one coefficient longer than the block before, its natural length."""
     n_star = int(art.params["n_star"])
-    J = int(art.params["J"])
     records = art.payload["blocks"]
     indices = [int(rec["n"]) for rec in records]
     if indices != list(range(1, n_star + 1)):
@@ -144,10 +149,9 @@ def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
     blocks = [None]
     for n, rec in zip(indices, records):
         coeffs = _coefficients(rec["coeffs"], f"{art.kind} block {n}")
-        if len(coeffs) != J + 1:
+        if not coeffs or (n >= 3 and len(coeffs) > len(blocks[-1].coeffs) + 1):
             raise CorruptArtifactError(
-                f"{art.kind} block {n} holds {len(coeffs)} coefficients, "
-                f"expected J+1 = {J + 1}"
+                f"{art.kind} block {n} holds {len(coeffs)} coefficients"
             )
         blocks.append(OmegaBlock(n, coeffs))
     return blocks  # type: ignore[return-value]
@@ -162,7 +166,6 @@ def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
         KIND_OMEGA_K,
         {
             "n_star": ledger.built_through,
-            "J": ledger.J,
             "p": ledger.p,
             "K": str(ledger.K),
         },
@@ -179,7 +182,7 @@ def omega_k_ledger_from_artifact(art: StoredArtifact, *,
     if art.kind != KIND_OMEGA_K:
         raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {art.kind}")
     blocks = _blocks_from_payload(art)
-    ledger = OmegaKLedger(art.params["K"], int(art.params["J"]), int(art.params["p"]),
+    ledger = OmegaKLedger(art.params["K"], int(art.params["p"]),
                           max_interval=max_interval or len(blocks) - 1)
     ledger._blocks = blocks
     return ledger
@@ -247,10 +250,15 @@ class ArtifactCache:
         return self.directory / f"{kind}-{digest}.json"
 
     def lookup(self, kind: str, params: Dict[str, Any]):
+        """The cached artifact, or None on a miss.  An entry written in
+        another format version is a miss, so it is rebuilt and replaced."""
         path = self._key_path(kind, params)
         if not path.exists():
             return None
-        art = load_artifact(path)
+        try:
+            art = load_artifact(path)
+        except VersionError:
+            return None
         if art.kind != kind or art.params != params:
             raise CorruptArtifactError(f"cache file {path} does not match its key")
         return art

@@ -120,7 +120,7 @@ def table1000():
 
 @pytest.fixture(scope="module")
 def omega_ledger():
-    return build_omega_ledger(QuadratureConfig())  # p=30 J=40 n*=200
+    return build_omega_ledger(QuadratureConfig())  # p=30 n*=200
 
 
 @pytest.fixture(scope="module")

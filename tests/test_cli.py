@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from buchstab.cli import main
+from buchstab.cli import format_rational, format_real, main
 from buchstab.store import StoredArtifact, load_artifact, save_artifact
 
 
@@ -103,6 +105,13 @@ def test_constant_small_config(capsys):
     assert lines["first_interval_exact"] == "3/4"
 
 
+def test_constant_digits_reach_the_precision(capsys):
+    # the Laplace-transform value is 1.30720779891056809974468019429
+    code, out = run_cli(capsys, "constant", "--digits", "25")
+    assert code == 0
+    assert out.splitlines()[0] == "constant=1.307207798910568099744680"
+
+
 def test_json_and_csv_agree(capsys):
     code, csv_out = run_cli(capsys, "dist", "--n", "5")
     code2, json_out = run_cli(capsys, "dist", "--n", "5", "--format", "json")
@@ -187,8 +196,53 @@ def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
     assert code == 4 and out == ""
 
 
+def test_format_real_carries_into_next_power_of_ten():
+    assert format_real(Decimal("0.9999996")) == "1.00000"
+    assert format_real(Decimal("9.9999996")) == "10.0000"
+
+
+def test_format_rational_beyond_int_string_limit():
+    # str(int) refuses more than 4300 digits on CPython 3.11+
+    assert format_rational(Fraction(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--x", "abc"),
+    ("omega", "--x", "nan"),
+    ("omega", "--x", "inf"),
+    ("omega-k", "--k", "abc", "--x", "5"),
+    ("omega-k-table", "--k", "1", "--x-list", "3", "zz"),
+])
+def test_bad_number_exit_code(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a finite number" in captured.err
+
+
+def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    runs = {"count-table": ("counts", "--n", "5"),
+            "omega-k-ledger": ("omega-k", "--k", "1", "--x", "5.5")}
+    expected = {"count-table": "n,k=1,k=2,k=3,k=4,k=5\n1,1,,,,\n2,1,1,,,\n"
+                               "3,4,0,2,,\n4,15,3,0,6,\n5,76,20,0,0,24\n",
+                "omega-k-ledger": "3.08803\n"}
+    for argv in runs.values():
+        assert run_cli(capsys, *argv, "--cache-dir", str(cache_dir))[0] == 0
+    for entry in cache_dir.glob("*.json"):  # as an earlier version wrote them
+        doc = json.loads(entry.read_text())
+        doc["header"]["format_version"] = 1
+        entry.write_text(json.dumps(doc))
+    for kind, argv in runs.items():
+        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 0 and out == expected[kind], kind
+        [entry] = cache_dir.glob(f"{kind}-*.json")
+        assert json.loads(entry.read_text())["header"]["format_version"] == 2
+
+
 def test_usage_error_exit_codes():
     code, _, err = run_proc("counts")
+    assert code == 2
+    code, _, err = run_proc("omega", "--x", "2.5", "--taylor-degree", "40")
     assert code == 2
     code, _, err = run_proc("omega", "--x", "0.5", "--max-interval", "10")
     assert code == 2

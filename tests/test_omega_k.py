@@ -7,6 +7,7 @@ import pytest
 from buchstab.numerics import context, exp_neg_gamma
 from buchstab.omega import LedgerRangeError
 from buchstab.omega_k import (
+    OmegaBlock,
     OmegaKLedger,
     alpha_vector,
     eval_omega_k,
@@ -32,20 +33,19 @@ def ledger_k05():
 
 
 def test_seed_block1():
-    b = seed_block1(40, 30)
-    assert b.coeffs[0] == 1
-    assert b.coeffs[3] == 0
+    b = seed_block1()
+    assert b.coeffs == (Decimal(1),)
     assert b.eval(Decimal("0.73"), context(30)) == 1
 
 
 def test_seed_block2_k1():
-    b = seed_block2(1, 40, 30)
+    b = seed_block2(1, 30)
     assert abs(b.coeffs[0] - ONE_PLUS_LN32) < Decimal("2e-29")
     assert b.coeffs[1] == context(30).divide(Decimal(1), Decimal(3))
 
 
 def test_seed_block2_half_right_limit():
-    b = seed_block2("0.5", 40, 30)
+    b = seed_block2("0.5", 30)
     limit = b.eval(Decimal(1), context(30))
     expected = 1 + context(30).ln(Decimal(2)) / 2
     assert abs(limit - expected) < Decimal("1e-20")
@@ -54,7 +54,7 @@ def test_seed_block2_half_right_limit():
 
 
 def test_alpha_from_constant_block():
-    b1 = seed_block1(12, 30)
+    b1 = OmegaBlock(1, (Decimal(1),) + (Decimal(0),) * 12)
     alpha = alpha_vector(b1, 3, 30)
     for i, a in enumerate(alpha):
         expected = Decimal(-1) ** i / Decimal(5) ** i
@@ -64,7 +64,7 @@ def test_alpha_from_constant_block():
 def alpha_convolution(prev, n: int, p: int = 30):
     """Oracle for alpha_vector: the O(J^2) convolution of the previous
     block with the powers of -1/(2n-1)."""
-    J = prev.degree
+    J = len(prev.coeffs) - 1
     with localcontext(context(p)):
         q = Decimal(-1) / Decimal(2 * n - 1)
         powers = [Decimal(1)]
@@ -107,7 +107,7 @@ def test_alpha_first_entry_is_previous_c0(ledger_k1):
 
 
 def test_alpha_from_block2():
-    b2 = seed_block2(1, 40, 30)
+    b2 = seed_block2(1, 30)
     alpha = alpha_vector(b2, 3, 30)
     expected = b2.coeffs[1] - b2.coeffs[0] / 5
     assert abs(alpha[1] - expected) < Decimal("1e-28")
@@ -128,24 +128,14 @@ def test_block3_against_oracle(ledger_k1):
     assert abs(v - o) < Decimal("1e-8")
 
 
-def test_knot_continuity(ledger_k1):
+def test_knot_continuity(ledger_k1, ledger_k05):
     ctx = context(30)
-    ledger_k1.ensure(201)
-    for n in range(2, 201):
-        left = ledger_k1.block(n - 1).eval(Decimal(1), ctx)
-        right = ledger_k1.block(n).eval(Decimal(-1), ctx)
-        assert abs(left - right) < Decimal("1e-20"), n  # J=40 truncation floor
-
-
-def test_knot_continuity_tight_at_higher_degree():
-    # the 1e-25 mismatch bound needs the Taylor degree matched to p=30
-    ledger = OmegaKLedger("0.5", J=64)
-    ledger.ensure(201)
-    ctx = context(30)
-    for n in range(2, 201):
-        left = ledger.block(n - 1).eval(Decimal(1), ctx)
-        right = ledger.block(n).eval(Decimal(-1), ctx)
-        assert abs(left - right) < Decimal("1e-25"), n
+    for ledger in (ledger_k1, ledger_k05):
+        ledger.ensure(201)
+        for n in range(2, 201):
+            left = ledger.block(n - 1).eval(Decimal(1), ctx)
+            right = ledger.block(n).eval(Decimal(-1), ctx)
+            assert abs(left - right) < Decimal("1e-25"), (ledger.K, n)
 
 
 def test_monotone_in_x(ledger_k05):
