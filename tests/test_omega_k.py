@@ -128,14 +128,26 @@ def test_block3_against_oracle(ledger_k1):
     assert abs(v - o) < Decimal("1e-8")
 
 
-def test_knot_continuity(ledger_k1, ledger_k05):
-    ctx = context(30)
-    for ledger in (ledger_k1, ledger_k05):
-        ledger.ensure(201)
-        for n in range(2, 201):
-            left = ledger.block(n - 1).eval(Decimal(1), ctx)
-            right = ledger.block(n).eval(Decimal(-1), ctx)
-            assert abs(left - right) < Decimal("1e-25"), (ledger.K, n)
+def _max_knot_mismatch(ledger, n_max, p):
+    ctx = context(p)
+    ledger.ensure(n_max)
+    return max(
+        abs(ledger.block(n - 1).eval(Decimal(1), ctx)
+            - ledger.block(n).eval(Decimal(-1), ctx))
+        for n in range(2, n_max)
+    )
+
+
+def test_knot_continuity(ledger_k1):
+    assert _max_knot_mismatch(ledger_k1, 201, 30) < Decimal("1e-25")
+
+
+def test_knot_continuity_tight_at_higher_degree(ledger_k05):
+    # the block lengths follow the precision, so the mismatch bound does too
+    assert _max_knot_mismatch(ledger_k05, 201, 30) < Decimal("1e-25")
+    fine = OmegaKLedger("0.5", 40)
+    assert _max_knot_mismatch(fine, 201, 40) < Decimal("1e-35")
+    assert len(fine.block(200).coeffs) > len(ledger_k05.block(200).coeffs)
 
 
 def test_monotone_in_x(ledger_k05):
