@@ -109,24 +109,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="last Taylor block n* (default 200 for omega; "
                              "grown on demand for omega-k)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="cache artifacts in DIR and reuse on parameter match")
-
-
-def _cache(args) -> Optional[ArtifactCache]:
-    return ArtifactCache(args.cache_dir) if args.cache_dir else None
-
-
-def _get_table(args, N: int, class_name: str):
-    cache = _cache(args)
-    params = {"N": N, "class": class_name}
-    if cache is not None:
-        art = cache.lookup(store_mod.KIND_COUNT_TABLE, params)
-        if art is not None:
-            return store_mod.table_from_artifact(art)
-    table = build_table(component_class_by_name(class_name), N)
-    if cache is not None:
-        cache.store(store_mod.artifact_from_table(table))
-    return table
+                        help="cache Omega_K ledgers in DIR and reuse them on "
+                             "parameter match (count commands build their "
+                             "table directly and ignore it)")
 
 
 def _omega_limit(args) -> int:
@@ -144,7 +129,7 @@ def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
         raise LedgerRangeError(
             f"block {n_star} beyond the configured ledger limit {limit}"
         )
-    cache = _cache(args)
+    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     params = {
         "n_star": n_star,
         "p": args.precision,
@@ -166,7 +151,7 @@ def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
 # ---------------------------------------------------------------------------
 
 def cmd_counts(args) -> int:
-    table = _get_table(args, args.n, args.klass)
+    table = build_table(component_class_by_name(args.klass), args.n)
     columns = ["n"] + [f"k={k}" for k in range(1, args.n + 1)]
     rows = []
     for n in range(1, args.n + 1):
@@ -178,7 +163,7 @@ def cmd_counts(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    table = _get_table(args, args.n, "permutations")
+    table = build_table(counts_mod.PERMUTATIONS, args.n)
     dist = counts_mod.distribution(table, args.n)
     columns = ["k", "probability"]
     rows = [[str(k), format_rational(p)] for k, p in enumerate(dist.probs, start=1)]
@@ -187,7 +172,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    table = _get_table(args, args.n, "permutations")
+    table = build_table(counts_mod.PERMUTATIONS, args.n)
     prob = counts_mod.tail_probability(table, args.n, args.k)
     columns = ["n", "k", "tail_probability"]
     rows = [[str(args.n), str(args.k), format_rational(prob)]]
@@ -196,7 +181,7 @@ def cmd_tail(args) -> int:
 
 
 def cmd_variance_series(args) -> int:
-    table = _get_table(args, args.n, "permutations")
+    table = build_table(counts_mod.PERMUTATIONS, args.n)
     series = counts_mod.variance_series(table, p=args.precision)
     columns = ["n", "variance", "variance_over_n"]
     rows = [

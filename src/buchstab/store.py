@@ -1,13 +1,14 @@
-"""Versioned persistence for count tables and coefficient ledgers.
+"""Versioned persistence for Omega_K coefficient ledgers.
 
-Artifacts are single JSON files with a header carrying the format
-version, the artifact kind, the parameters that fully determine the
-payload, and a SHA-256 checksum of the canonical payload bytes.  All
-numbers are serialized as decimal strings: integer counts keep every
-digit, Decimal coefficients keep all p working digits, so a load/save
-round trip is byte-identical and evaluation after reload produces the
-same digits as before saving.  Format 2 lets each ledger block carry its
-own number of coefficients.
+An artifact is a single JSON file with a header carrying the format
+version, the artifact kind (``omega-k-ledger``, the only one), the
+parameters that fully determine the payload, and a SHA-256 checksum of
+the canonical payload bytes.  Coefficients are serialized as decimal
+strings that keep all p working digits, so a load/save round trip is
+byte-identical and evaluation after reload produces the same digits as
+before saving.  Format 2 lets each ledger block carry its own number of
+coefficients.  Count tables are not stored: the column recurrence
+rebuilds one faster than a stored copy can be read back.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from .counts import CountTable, component_class_by_name
-from .numerics import int_str
 from .omega_k import OmegaBlock, OmegaKLedger
 
 __all__ = [
@@ -31,9 +30,7 @@ __all__ = [
     "VersionError",
     "CorruptArtifactError",
     "StoredArtifact",
-    "artifact_from_table",
     "artifact_from_omega_k_ledger",
-    "table_from_artifact",
     "omega_k_ledger_from_artifact",
     "save_artifact",
     "load_artifact",
@@ -42,7 +39,6 @@ __all__ = [
 
 FORMAT_VERSION = 2
 
-KIND_COUNT_TABLE = "count-table"
 KIND_OMEGA_K = "omega-k-ledger"
 
 
@@ -79,29 +75,11 @@ class StoredArtifact:
         }
 
 
-def artifact_from_table(table: CountTable) -> StoredArtifact:
-    rows: List[List[str]] = [
-        [int_str(c) for c in table.row(n)] for n in range(1, table.N + 1)
-    ]
-    return StoredArtifact(
-        KIND_COUNT_TABLE,
-        {"N": table.N, "class": table.klass.name},
-        {"rows": rows},
-    )
-
-
-def _counts(raw: List[Any], where: str) -> List[int]:
-    """Count cells: ASCII decimal digits of non-negative integers, read
-    through Decimal past int()'s default 4300-digit limit."""
-    if not all(type(c) is str and c.isascii() and c.isdigit() for c in raw):
-        raise CorruptArtifactError(f"{where} holds a cell that is not a count")
-    return [int(c) if len(c) <= 4300 else int(Decimal(c)) for c in raw]
-
-
-def _coefficients(raw: List[Any], where: str) -> Tuple[Decimal, ...]:
+def _coefficients(raw: Any, where: str) -> Tuple[Decimal, ...]:
     """Ledger coefficients: decimal strings of finite numbers."""
     try:
-        coeffs = tuple(map(Decimal, raw)) if all(type(c) is str for c in raw) else None
+        coeffs = (tuple(map(Decimal, raw)) if type(raw) is list
+                  and all(type(c) is str for c in raw) else None)
     except InvalidOperation:
         coeffs = None
     if coeffs is None or not all(map(Decimal.is_finite, coeffs)):
@@ -110,45 +88,26 @@ def _coefficients(raw: List[Any], where: str) -> Tuple[Decimal, ...]:
     return coeffs
 
 
-def table_from_artifact(art: StoredArtifact) -> CountTable:
-    if art.kind != KIND_COUNT_TABLE:
-        raise StoreError(f"expected a {KIND_COUNT_TABLE} artifact, got {art.kind}")
-    klass = component_class_by_name(art.params["class"])
-    N = int(art.params["N"])
-    rows = art.payload["rows"]
-    if len(rows) != N:
-        raise CorruptArtifactError(f"count table for N={N} holds {len(rows)} rows")
-    fact = [1] * (N + 1)
-    for j in range(1, N + 1):
-        fact[j] = fact[j - 1] * j
-    suffix_rows: List[List[int]] = [[]] * (N + 1)
-    for n, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise CorruptArtifactError(f"count table row {n} holds {len(row)} cells")
-        cells = _counts(row, f"count table row {n}")
-        suf = [0] * (n + 2)
-        for k in range(n, 0, -1):
-            suf[k] = suf[k + 1] + cells[k - 1]
-        suf[0] = suf[1]
-        suffix_rows[n] = suf
-    return CountTable(klass, N, suffix_rows, fact)
-
-
 def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
     """[None, block 1, ..., block n_star], checked against the header.
 
     Every block is non-empty, and an advanced block (n >= 3) is at most
     one coefficient longer than the block before, its natural length."""
     n_star = int(art.params["n_star"])
-    records = art.payload["blocks"]
-    indices = [int(rec["n"]) for rec in records]
+    try:
+        records = art.payload["blocks"]
+        indices = [int(rec["n"]) for rec in records]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifactError(
+            f"{art.kind} payload does not hold numbered block records"
+        ) from exc
     if indices != list(range(1, n_star + 1)):
         raise CorruptArtifactError(
             f"{art.kind} block indices are not 1..{n_star}"
         )
     blocks = [None]
     for n, rec in zip(indices, records):
-        coeffs = _coefficients(rec["coeffs"], f"{art.kind} block {n}")
+        coeffs = _coefficients(rec.get("coeffs"), f"{art.kind} block {n}")
         if not coeffs or (n >= 3 and len(coeffs) > len(blocks[-1].coeffs) + 1):
             raise CorruptArtifactError(
                 f"{art.kind} block {n} holds {len(coeffs)} coefficients"
@@ -206,8 +165,8 @@ def load_artifact(path) -> StoredArtifact:
         doc = json.loads(path.read_text(encoding="ascii"))
     except OSError as exc:
         raise StoreError(f"cannot read artifact {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptArtifactError(f"artifact {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise CorruptArtifactError(f"artifact {path} is not ASCII JSON: {exc}") from exc
     try:
         header = doc["header"]
         payload = doc["payload"]
@@ -226,7 +185,7 @@ def load_artifact(path) -> StoredArtifact:
     if actual != checksum:
         raise CorruptArtifactError(
             f"artifact {path} payload checksum mismatch "
-            f"(header {checksum[:12]}.., payload {actual[:12]}..)"
+            f"(header {str(checksum)[:12]}.., payload {actual[:12]}..)"
         )
     return StoredArtifact(kind, params, payload)
 

@@ -8,7 +8,9 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from buchstab.cli import format_rational, format_real, main
 from buchstab.store import StoredArtifact, load_artifact, save_artifact
@@ -131,7 +133,7 @@ def test_out_file_matches_stdout(capsys, tmp_path):
 
 def test_cache_round_trip(capsys, tmp_path):
     cache_dir = str(tmp_path / "cache")
-    args = ("counts", "--n", "8", "--cache-dir", cache_dir)
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", cache_dir)
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)  # served from cache
     assert first == second
@@ -196,6 +198,39 @@ def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
     assert code == 4 and out == ""
 
 
+def test_corrupt_cache_file_exit_code(capsys, tmp_path):
+    # a cached ledger with one byte flipped, or cut short, either still
+    # gives a fresh build's output (exit 0) or ends in exit 4 with no output
+    cache_dir = tmp_path / "cache"
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
+    code, fresh = run_cli(capsys, *args)
+    assert code == 0
+    [entry] = cache_dir.glob("*.json")
+    intact = entry.read_bytes()
+
+    def flip(at, value):
+        return intact[:at] + bytes([value]) + intact[at + 1:]
+
+    def outcome(data):
+        entry.write_bytes(data)
+        return run_cli(capsys, *args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.builds(flip, st.integers(0, len(intact) - 1), st.integers(0, 255)),
+        st.integers(0, len(intact)).map(lambda n: intact[:n]),
+    ))
+    def check(data):
+        assert outcome(data) in ((0, fresh), (4, ""))
+
+    check()
+    assert outcome(flip(200, 0xFF)) == (4, "")  # not ASCII
+    # another format version is a cache miss: the entry is rebuilt
+    version = intact.index(b'"format_version":2') + len(b'"format_version":')
+    assert outcome(flip(version, ord("7"))) == (0, fresh)
+    assert entry.read_bytes() == intact
+
+
 def test_format_real_carries_into_next_power_of_ten():
     assert format_real(Decimal("0.9999996")) == "1.00000"
     assert format_real(Decimal("9.9999996")) == "10.0000"
@@ -221,22 +256,14 @@ def test_bad_number_exit_code(capsys, argv):
 
 def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
-    runs = {"count-table": ("counts", "--n", "5"),
-            "omega-k-ledger": ("omega-k", "--k", "1", "--x", "5.5")}
-    expected = {"count-table": "n,k=1,k=2,k=3,k=4,k=5\n1,1,,,,\n2,1,1,,,\n"
-                               "3,4,0,2,,\n4,15,3,0,6,\n5,76,20,0,0,24\n",
-                "omega-k-ledger": "3.08803\n"}
-    for argv in runs.values():
-        assert run_cli(capsys, *argv, "--cache-dir", str(cache_dir))[0] == 0
-    for entry in cache_dir.glob("*.json"):  # as an earlier version wrote them
-        doc = json.loads(entry.read_text())
-        doc["header"]["format_version"] = 1
-        entry.write_text(json.dumps(doc))
-    for kind, argv in runs.items():
-        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
-        assert code == 0 and out == expected[kind], kind
-        [entry] = cache_dir.glob(f"{kind}-*.json")
-        assert json.loads(entry.read_text())["header"]["format_version"] == 2
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
+    assert run_cli(capsys, *args)[0] == 0
+    [entry] = cache_dir.glob("omega-k-ledger-*.json")
+    doc = json.loads(entry.read_text())  # as an earlier version wrote it
+    doc["header"]["format_version"] = 1
+    entry.write_text(json.dumps(doc))
+    assert run_cli(capsys, *args) == (0, "3.08803\n")
+    assert json.loads(entry.read_text())["header"]["format_version"] == 2
 
 
 def test_usage_error_exit_codes():
@@ -264,9 +291,29 @@ def test_persistence_error_exit_code(tmp_path):
     bad = tmp_path / "not-a-dir-file"
     bad.write_text("occupied")
     code, _, err = run_proc(
-        "counts", "--n", "3", "--cache-dir", str(bad / "sub"),
+        "omega-k", "--k", "1", "--x", "2.5", "--cache-dir", str(bad / "sub"),
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("counts", "--n", "7", "--class", "derangements"),
+    ("dist", "--n", "6"),
+    ("tail", "--n", "6", "--k", "2"),
+    ("variance-series", "--n", "5"),
+])
+def test_count_commands_write_no_cache(capsys, tmp_path, argv):
+    # count commands build their table directly: --cache-dir is accepted,
+    # ignored, and never an error even where no cache could be written
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    unusable = tmp_path / "occupied"
+    unusable.write_text("a file")
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+    for where in (cache_dir, unusable / "sub"):
+        assert run_cli(capsys, *argv, "--cache-dir", str(where)) == (0, expected)
+    assert list(cache_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,6 @@ from decimal import Decimal
 
 import pytest
 
-from buchstab.counts import PERMUTATIONS, build_table
 from buchstab.omega import (
     QuadratureConfig,
     build_omega_ledger,
@@ -17,32 +16,25 @@ from buchstab.store import (
     CorruptArtifactError,
     StoredArtifact,
     VersionError,
-    _counts,
     artifact_from_omega_k_ledger,
-    artifact_from_table,
     load_artifact,
     omega_k_ledger_from_artifact,
     save_artifact,
-    table_from_artifact,
 )
 
 
-def test_count_table_round_trip(tmp_path):
-    table = build_table(PERMUTATIONS, 10)
-    path = tmp_path / "table.json"
-    save_artifact(artifact_from_table(table), path)
-    loaded = table_from_artifact(load_artifact(path))
-    for n in range(1, 11):
-        assert loaded.row(n) == table.row(n)
-        assert loaded.suffix(n, 1) == table.suffix(n, 1)
+def _omega_k_artifact(n_star=10):
+    ledger = OmegaKLedger("0.5")
+    ledger.ensure(n_star)
+    return artifact_from_omega_k_ledger(ledger)
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
-    table = build_table(PERMUTATIONS, 8)
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    save_artifact(artifact_from_table(table), p1)
-    save_artifact(artifact_from_table(table_from_artifact(load_artifact(p1))), p2)
+    save_artifact(_omega_k_artifact(8), p1)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(p1))
+    save_artifact(artifact_from_omega_k_ledger(reloaded), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -89,9 +81,8 @@ def test_omega_k_ledger_round_trip(tmp_path):
 
 
 def test_future_version_rejected(tmp_path):
-    table = build_table(PERMUTATIONS, 3)
-    path = tmp_path / "t.json"
-    save_artifact(artifact_from_table(table), path)
+    path = tmp_path / "omk.json"
+    save_artifact(_omega_k_artifact(3), path)
     doc = json.loads(path.read_text())
     doc["header"]["format_version"] = 99
     path.write_text(json.dumps(doc))
@@ -100,25 +91,36 @@ def test_future_version_rejected(tmp_path):
 
 
 def test_corrupt_payload_rejected(tmp_path):
-    table = build_table(PERMUTATIONS, 3)
-    path = tmp_path / "t.json"
-    save_artifact(artifact_from_table(table), path)
+    path = tmp_path / "omk.json"
+    save_artifact(_omega_k_artifact(3), path)
     doc = json.loads(path.read_text())
-    doc["payload"]["rows"][2][0] = "5"
+    doc["payload"]["blocks"][2]["coeffs"][0] = "5"
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptArtifactError):
         load_artifact(path)
 
 
-def _omega_k_artifact():
-    ledger = OmegaKLedger("0.5")
-    ledger.ensure(10)
-    return artifact_from_omega_k_ledger(ledger)
+def test_non_ascii_artifact_rejected(tmp_path):
+    path = tmp_path / "omk.json"
+    save_artifact(_omega_k_artifact(3), path)
+    data = bytearray(path.read_bytes())
+    data[200] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptArtifactError, match="not ASCII JSON"):
+        load_artifact(path)
+
+
+def test_non_string_checksum_rejected(tmp_path):
+    path = tmp_path / "omk.json"
+    save_artifact(_omega_k_artifact(3), path)
+    doc = json.loads(path.read_text())
+    doc["header"]["payload_sha256"] = 5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptArtifactError, match="checksum mismatch"):
+        load_artifact(path)
 
 
 _DECODERS = {
-    "table": (lambda: artifact_from_table(build_table(PERMUTATIONS, 6)),
-              table_from_artifact),
     "omega": (lambda: artifact_from_omega_k_ledger(
         build_omega_ledger(QuadratureConfig(max_interval=8))),
               omega_k_ledger_from_artifact),
@@ -135,10 +137,15 @@ def _renumber(payload):
     payload["blocks"][6]["n"] = 8
 
 
-def _set_cell(value):
+def _set(key, value, block=None):
+    """Set ``key`` of the payload, or of block record ``block``, to ``value``."""
     def tamper(payload):
-        payload["rows"][4][1] = value
+        (payload if block is None else payload["blocks"][block])[key] = value
     return tamper
+
+
+def _stringify_block(payload):
+    payload["blocks"][3] = "block 4"
 
 
 def _pad_block(index, extra):
@@ -158,10 +165,10 @@ def _set_coeff(value):
 
 
 @pytest.mark.parametrize("which, tamper", [
-    pytest.param("table", lambda p: p["rows"].pop(), id="table-missing-row"),
-    pytest.param("table", lambda p: p["rows"].append(["1"] * 7), id="table-extra-row"),
-    pytest.param("table", lambda p: p["rows"][3].append("0"), id="table-long-row"),
-    pytest.param("table", lambda p: p["rows"][3].pop(), id="table-short-row"),
+    pytest.param("omega_k", lambda p: p.pop("blocks"), id="omega_k-no-blocks"),
+    pytest.param("omega_k", _set("blocks", 5), id="omega_k-blocks-not-a-list"),
+    pytest.param("omega_k", _stringify_block, id="omega_k-string-block"),
+    pytest.param("omega_k", _set("n", "abc", block=3), id="omega_k-non-integer-index"),
     pytest.param("omega_k", lambda p: p["blocks"].pop(0), id="omega_k-no-block-1"),
     pytest.param("omega_k", lambda p: p["blocks"].pop(5), id="omega_k-gap"),
     pytest.param("omega_k", lambda p: p["blocks"].pop(), id="omega_k-short"),
@@ -175,10 +182,6 @@ def _set_coeff(value):
     pytest.param("omega", _swap, id="omega-swapped"),
     pytest.param("omega", lambda p: p["blocks"][2]["coeffs"].clear(),
                  id="omega-short-block"),
-    pytest.param("table", _set_cell("12x"), id="table-garbage-count"),
-    pytest.param("table", _set_cell("-3"), id="table-negative-count"),
-    pytest.param("table", _set_cell("1.5"), id="table-fractional-count"),
-    pytest.param("table", _set_cell(7), id="table-unquoted-count"),
     pytest.param("omega_k", _set_coeff("garbage"), id="omega_k-garbage-coeff"),
     pytest.param("omega_k", _set_coeff("NaN"), id="omega_k-nan-coeff"),
     pytest.param("omega_k", _set_coeff("-Infinity"), id="omega_k-infinite-coeff"),
@@ -209,21 +212,16 @@ def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
         eval_omega_k(reloaded, "21.5")
 
 
-def test_counts_beyond_int_string_limit():
-    # str(int) and int(str) refuse more than 4300 digits on CPython 3.11+
-    assert _counts(["9" * 5000], "test") == [10 ** 5000 - 1]
-
-
 def test_cache_hit_and_miss(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    table = build_table(PERMUTATIONS, 6)
-    art = artifact_from_table(table)
+    art = _omega_k_artifact(6)
     assert cache.lookup(art.kind, art.params) is None
     cache.store(art)
     hit = cache.lookup(art.kind, art.params)
     assert hit is not None
-    assert table_from_artifact(hit).row(6) == table.row(6)
-    assert cache.lookup(art.kind, {"N": 7, "class": "permutations"}) is None
+    expected = str(eval_omega_k(omega_k_ledger_from_artifact(art), "5.5"))
+    assert str(eval_omega_k(omega_k_ledger_from_artifact(hit), "5.5")) == expected
+    assert cache.lookup(art.kind, dict(art.params, n_star=7)) is None
 
 
 def test_store_ignores_leftover_lock_file(tmp_path):
@@ -231,7 +229,7 @@ def test_store_ignores_leftover_lock_file(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / ".lock").touch()
-    art = artifact_from_table(build_table(PERMUTATIONS, 5))
+    art = _omega_k_artifact(5)
     cache.store(art)
     hit = cache.lookup(art.kind, art.params)
     assert hit is not None and hit.payload == art.payload
@@ -239,8 +237,8 @@ def test_store_ignores_leftover_lock_file(tmp_path):
 
 def test_cache_list_and_clear(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    cache.store(artifact_from_table(build_table(PERMUTATIONS, 4)))
-    cache.store(artifact_from_table(build_table(PERMUTATIONS, 5)))
+    cache.store(_omega_k_artifact(4))
+    cache.store(_omega_k_artifact(5))
     assert len(cache.entries()) == 2
     assert cache.clear() == 2
     assert cache.entries() == []
