@@ -100,8 +100,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
     parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                        help=f"significant digits for real values "
-                             f"(default {DEFAULT_DIGITS})")
+                        help=f"significant digits for real values, at most "
+                             f"--precision (default {DEFAULT_DIGITS})")
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help=f"working precision in decimal digits "
                              f"(default {DEFAULT_PRECISION})")
@@ -117,7 +117,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _omega_limit(args) -> int:
     """n* for omega and constant (default 200), validated with the
     other omega options by QuadratureConfig."""
-    return QuadratureConfig(max_interval=args.max_interval or 200,
+    return QuadratureConfig(max_interval=args.max_interval,
                             precision=args.precision).max_interval
 
 
@@ -216,8 +216,7 @@ def cmd_constant(args) -> int:
 
 def cmd_omega_k(args) -> int:
     x = as_real(args.x, args.precision)
-    ledger = _get_omega_k_ledger(args, args.k, int(x),
-                                 args.max_interval or DEFAULT_MAX_INTERVAL)
+    ledger = _get_omega_k_ledger(args, args.k, int(x), args.max_interval)
     value = eval_omega_k(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
@@ -226,8 +225,7 @@ def cmd_omega_k(args) -> int:
 def cmd_omega_k_table(args) -> int:
     xs = [as_real(x, args.precision) for x in (args.x_list or PAPER_TABLE_GRID)]
     n_star = max(int(x) for x in xs)
-    ledger = _get_omega_k_ledger(args, args.k, n_star,
-                                 args.max_interval or DEFAULT_MAX_INTERVAL)
+    ledger = _get_omega_k_ledger(args, args.k, n_star, args.max_interval)
     columns = ["x", "omega_k"]
     rows = [
         [f"{x:f}", format_real(v, args.digits)]
@@ -288,26 +286,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="Buchstab function value")
     p.add_argument("--x", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_omega)
+    p.set_defaults(func=cmd_omega, max_interval=QuadratureConfig.max_interval)
 
     p = sub.add_parser("constant", help="moment constant from omega quadrature")
     p.add_argument("--moment", type=int, default=2,
                    help="moment order ell >= 2 (default 2, the variance constant)")
     _add_common(p)
-    p.set_defaults(func=cmd_constant)
+    p.set_defaults(func=cmd_constant, max_interval=QuadratureConfig.max_interval)
 
     p = sub.add_parser("omega-k", help="generalized Buchstab function value")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_omega_k)
+    p.set_defaults(func=cmd_omega_k, max_interval=DEFAULT_MAX_INTERVAL)
 
     p = sub.add_parser("omega-k-table", help="Omega_K over the reference grid")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x-list", nargs="*", default=None,
                    help="evaluation points (default: 1..10 and 16..8192)")
     _add_common(p)
-    p.set_defaults(func=cmd_omega_k_table)
+    p.set_defaults(func=cmd_omega_k_table, max_interval=DEFAULT_MAX_INTERVAL)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
     p.add_argument("action", choices=("list", "clear"))
@@ -321,6 +319,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.digits <= args.precision:
+            raise UsageError(f"--digits {args.digits} is outside "
+                             f"1..--precision {args.precision}")
         return args.func(args)
     except MemoryCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

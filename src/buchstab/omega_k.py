@@ -89,8 +89,9 @@ class OmegaBlock:
 
     def eval(self, z: Decimal, ctx: Context) -> Decimal:
         acc = Decimal(0)
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.multiply(acc, z), c)
+        with localcontext(ctx):
+            for c in reversed(self.coeffs):
+                acc = acc * z + c
         return acc
 
 
@@ -114,13 +115,19 @@ def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
     d_i = c_i - sum_{k=1..m} C(m, k) r^k d_{i-k}, O(length * m) operations.
     """
     with localcontext(context(p)):
-        weights = [math.comb(m, k) * r ** k for k in range(1, m + 1)]
-        out: List[Decimal] = []
-        for i in range(length):
-            d = coeffs[i] if i < len(coeffs) else Decimal(0)
-            for k, w in enumerate(weights[:i], start=1):
-                d -= w * out[i - k]
-            out.append(d)
+        return _series_over_binomial(coeffs, r, m, length)
+
+
+def _series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
+                          length: int) -> List[Decimal]:
+    """``series_over_binomial`` under the current context."""
+    weights = [math.comb(m, k) * r ** k for k in range(1, m + 1)]
+    out: List[Decimal] = []
+    for i in range(length):
+        d = coeffs[i] if i < len(coeffs) else Decimal(0)
+        for k, w in enumerate(weights[:i], start=1):
+            d -= w * out[i - k]
+        out.append(d)
     return out
 
 
@@ -157,10 +164,15 @@ def alpha_vector(prev: OmegaBlock, n: int, p: int = DEFAULT_PRECISION
 
     These are the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1.
     """
+    with localcontext(context(p)):
+        return tuple(_alpha(prev, n))
+
+
+def _alpha(prev: OmegaBlock, n: int) -> List[Decimal]:
+    """``alpha_vector`` under the current context."""
     if n < 3:
         raise ValueError(f"alpha vector is defined for target blocks n >= 3, got {n}")
-    r = context(p).divide(Decimal(1), Decimal(2 * n - 1))
-    return tuple(series_over_binomial(prev.coeffs, r, 1, len(prev.coeffs), p))
+    return _series_over_binomial(prev.coeffs, 1 / Decimal(2 * n - 1), 1, len(prev.coeffs))
 
 
 def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlock:
@@ -169,14 +181,13 @@ def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlo
     n = prev.n + 1
     L = len(prev.coeffs)
     Kd = as_real(K, p)
-    alpha = alpha_vector(prev, n, p)
     with localcontext(context(p)):
+        alpha = _alpha(prev, n)
         m = Decimal(2 * n - 1)
         s_prev = sum(prev.coeffs, Decimal(0))
-        s_alpha = sum((Decimal((-1) ** (i + 1)) * a / Decimal(i + 1)
-                       for i, a in enumerate(alpha)), Decimal(0))
+        s_alpha = sum((a if i % 2 else -a) / (i + 1) for i, a in enumerate(alpha))
         coeffs = [s_prev - Kd / m * s_alpha]
-        coeffs += [Kd * alpha[i - 1] / (m * Decimal(i)) for i in range(1, L + 1)]
+        coeffs += [Kd * a / (m * i) for i, a in enumerate(alpha, start=1)]
         # alpha is geometric in -1/m past alpha_{L-1}: coefficients i > L total
         # at most K |alpha_{L-1}| / (m (L+1) (m-1)), and so do the terms c0 omits
         tail = 2 * Kd * abs(alpha[L - 1]) / (m * (L + 1) * (m - 1))
@@ -229,15 +240,13 @@ class OmegaKLedger:
 
 def eval_omega_k(ledger: OmegaKLedger, x) -> Decimal:
     """Omega_K(x) for x >= 1 (blocks grown on demand)."""
-    p = ledger.p
-    ctx = context(p)
-    xd = as_real(x, p)
+    xd = as_real(x, ledger.p)
     if xd < 1:
         raise LedgerRangeError(f"Omega_K is defined on [1, inf), got {xd}")
     n = int(xd)
     block = ledger.block(n)
-    z = ctx.subtract(ctx.multiply(Decimal(2), ctx.subtract(xd, Decimal(n))), Decimal(1))
-    return block.eval(z, ctx)
+    ctx = context(ledger.p)
+    return block.eval(ctx.subtract(ctx.multiply(2, ctx.subtract(xd, n)), 1), ctx)
 
 
 def proportion_large_smallest(ledger: OmegaKLedger, x) -> Decimal:

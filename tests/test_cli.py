@@ -254,6 +254,35 @@ def test_bad_number_exit_code(capsys, argv):
     assert captured.out == "" and "not a finite number" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("omega", "--x", "5"), "max_interval must be >= 5, got 0"),
+    (("constant",), "max_interval must be >= 5, got 0"),
+    (("omega-k", "--k", "1", "--x", "5"), "beyond the configured ledger limit 0"),
+    (("omega-k-table", "--k", "1", "--x-list", "3"), "beyond the configured ledger limit 0"),
+])
+def test_zero_max_interval_is_a_usage_error(capsys, argv, message):
+    # 0 is a value, not "unset": it reaches the range checks
+    assert main([*argv, "--max-interval", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("digits", ["0", "-3", "31", "100"])
+def test_digits_beyond_precision_is_a_usage_error(capsys, digits):
+    # more digits than --precision would print made-up zeros
+    assert main(["omega", "--x", "5", "--digits", digits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--digits {digits} is outside 1..--precision 30" in captured.err
+
+
+def test_digits_up_to_precision(capsys):
+    assert run_cli(capsys, "omega", "--x", "5", "--digits", "30") == (
+        0, "0.561454468268456728736324688944\n")
+    code, out = run_cli(capsys, "omega", "--x", "5", "--digits", "36", "--precision", "36")
+    assert code == 0 and len(out.strip()) == 38 and out.startswith("0.5614544682684567287363246889")
+
+
 def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))

@@ -1,0 +1,51 @@
+"""One SHA-256 over the digits the ledger layer produces.
+
+Speed-ups of the Decimal loops must keep every digit: this test hashes
+the ``str`` of every Taylor coefficient of the K = 1 and K = 1/2
+ledgers through block 512, of ``eval_omega_k`` and ``eval_omega`` at
+seeded points, and of the moment constants (value and budget) for
+ell = 2 and 3 at the default precision.
+
+The literal was made by running ``ledger_digest()`` below on the
+commit before the operator-Horner rewrite of ``omega_k.py`` (CPython
+3.11).  Decimal arithmetic under a fixed context is specified to the
+digit, so the literal must hold on every interpreter.  If a change
+alters digits on purpose, recompute the literal and say which digits
+changed and why.
+"""
+
+import hashlib
+import random
+
+from buchstab.omega import QuadratureConfig, build_omega_ledger, eval_omega, moment_constant
+from buchstab.omega_k import OmegaKLedger, eval_omega_k
+
+BLOCKS = 512
+POINTS = 200
+
+LEDGER_DIGEST = "30c48408f96a39e40b0f79d9a1b9ffc311be47904456d7d1ee42db9aa34627e8"
+
+
+def _points(rng, lo: int, hi: int):
+    return [f"{rng.uniform(lo, hi):.9f}" for _ in range(POINTS)]
+
+
+def ledger_digest() -> str:
+    rng = random.Random(20221)
+    lines = []
+    for K in ("1", "0.5"):
+        ledger = OmegaKLedger(K)
+        ledger.ensure(BLOCKS)
+        for n in range(1, BLOCKS + 1):
+            lines.append(" ".join(map(str, ledger.block(n).coeffs)))
+        lines += [str(eval_omega_k(ledger, x)) for x in _points(rng, 1, BLOCKS + 1)]
+    omega_ledger = build_omega_ledger(QuadratureConfig())
+    lines += [str(eval_omega(omega_ledger, x)) for x in _points(rng, 1, 201)]
+    for ell in (2, 3):
+        const = moment_constant(omega_ledger, ell)
+        lines += [str(const.value), str(const.error_budget)]
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def test_ledger_digits_unchanged():
+    assert ledger_digest() == LEDGER_DIGEST

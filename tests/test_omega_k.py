@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 from decimal import Decimal, localcontext
@@ -5,7 +6,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from buchstab.numerics import context, exp_neg_gamma
-from buchstab.omega import LedgerRangeError
+from buchstab.omega import LedgerRangeError, QuadratureConfig, build_omega_ledger, eval_omega
 from buchstab.omega_k import (
     OmegaBlock,
     OmegaKLedger,
@@ -98,6 +99,37 @@ def test_concurrent_growth_keeps_block_order():
         sys.setswitchinterval(interval)
     assert ledger.built_through == 120
     assert [ledger.block(n).n for n in range(1, 121)] == list(range(1, 121))
+
+
+def test_concurrent_reads_match_sequential_values():
+    # a grown ledger is read without a lock: threads that share it must
+    # get exactly the values a single thread gets
+    ledger = build_omega_ledger(QuadratureConfig(max_interval=40))
+    rng = random.Random(5)
+    xs = [f"{rng.uniform(1, 41):.7f}" for _ in range(60)]
+
+    def values():
+        return [(str(eval_omega_k(ledger, x)), str(eval_omega(ledger, x))) for x in xs]
+
+    expected = values()
+    results = [None] * 4
+
+    def read(slot):
+        results[slot] = [values() for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ledger.built_through == 40
+    assert results == [[expected] * 5] * 4
 
 
 def test_alpha_first_entry_is_previous_c0(ledger_k1):
