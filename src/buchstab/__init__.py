@@ -7,61 +7,52 @@ function Omega_K whose reciprocal gives "large smallest component"
 proportions.  One piecewise Taylor ledger serves both Buchstab
 functions: omega(x) = Omega_1(x)/x, and its blocks are integrated term
 by term.
+
+Importing the package loads none of its modules: each public name below
+is imported from its module on first access (PEP 562), so a command
+line call pays only for the layers it runs.
 """
 
-from .numerics import (
-    DEFAULT_PRECISION,
-    PrecisionError,
-    as_real,
-    exp_neg_gamma,
-    factorial,
-    rational_to_real,
-)
-from .counts import (
-    DERANGEMENTS,
-    PERMUTATIONS,
-    ComponentClass,
-    CountTable,
-    MemoryCapError,
-    MomentReport,
-    SmallestDistribution,
-    brute_force_counts,
-    build_table,
-    component_class_by_name,
-    distribution,
-    tail_probability,
-    variance,
-    variance_series,
-)
-from .omega import (
-    MomentConstant,
-    QuadratureConfig,
-    build_omega_ledger,
-    eval_omega,
-    integrate_block,
-    moment_constant,
-)
-from .omega_k import (
-    LedgerRangeError,
-    OmegaBlock,
-    OmegaKLedger,
-    advance_omega_k,
-    alpha_vector,
-    eval_omega_k,
-    oracle_quadrature,
-    proportion_large_smallest,
-    seed_block1,
-    seed_block2,
-    table_values,
-)
-from .store import (
-    ArtifactCache,
-    CorruptArtifactError,
-    StoredArtifact,
-    StoreError,
-    VersionError,
-    load_artifact,
-    save_artifact,
-)
+import importlib
+
+_EXPORTS = {
+    "numerics": (
+        "DEFAULT_PRECISION", "PrecisionError", "as_real", "exp_neg_gamma",
+        "factorial", "rational_to_real",
+    ),
+    "counts": (
+        "DERANGEMENTS", "PERMUTATIONS", "ComponentClass", "CountTable",
+        "MemoryCapError", "MomentReport", "SmallestDistribution",
+        "brute_force_counts", "build_table", "component_class_by_name",
+        "distribution", "tail_probability", "variance", "variance_series",
+    ),
+    "omega": (
+        "MomentConstant", "QuadratureConfig", "build_omega_ledger",
+        "eval_omega", "integrate_block", "moment_constant",
+    ),
+    "omega_k": (
+        "LedgerRangeError", "OmegaBlock", "OmegaKLedger", "advance_omega_k",
+        "alpha_vector", "eval_omega_k", "oracle_quadrature",
+        "proportion_large_smallest", "seed_block1", "seed_block2",
+        "table_values",
+    ),
+    "store": (
+        "ArtifactCache", "CorruptArtifactError", "StoredArtifact",
+        "StoreError", "VersionError", "load_artifact", "save_artifact",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,33 +20,24 @@ artifacts): repeated runs emit byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import counts as counts_mod
-from . import store as store_mod
-from .counts import MemoryCapError, build_table, component_class_by_name
-from .numerics import DEFAULT_PRECISION, as_real, int_str
-from .omega import QuadratureConfig, eval_omega, moment_constant
-from .omega_k import (
+from .numerics import (
     DEFAULT_MAX_INTERVAL,
-    PAPER_TABLE_GRID,
-    LedgerRangeError,
-    OmegaKLedger,
-    eval_omega_k,
-    table_values,
+    DEFAULT_OMEGA_INTERVAL,
+    DEFAULT_PRECISION,
+    as_real,
+    int_str,
 )
-from .store import ArtifactCache, StoreError
 
+# Each command imports the layers it runs when it runs, so a call loads
+# only those.  Errors that carry an ``exit_code`` (MemoryCapError: 3,
+# StoreError: 4) set the exit status without main importing their layer.
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_RESOURCE = 3
-EXIT_STORE = 4
 
 DEFAULT_DIGITS = 6
 
@@ -75,12 +66,17 @@ class OutputTable:
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
+            import csv
+            import io
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(self.columns)
             writer.writerows(self.rows)
             return buf.getvalue()
         if fmt == "json":
+            import json
+
             doc = {"columns": self.columns, "rows": self.rows}
             return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         raise ValueError(f"unknown format {fmt!r}")
@@ -117,6 +113,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _omega_limit(args) -> int:
     """n* for omega and constant (default 200), validated with the
     other omega options by QuadratureConfig."""
+    from .omega import QuadratureConfig
+
     return QuadratureConfig(max_interval=args.max_interval,
                             precision=args.precision).max_interval
 
@@ -124,6 +122,14 @@ def _omega_limit(args) -> int:
 def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
     """The K ledger through block n_star, growable to ``limit``; omega
     and constant use K = 1, so all omega commands share one cache entry."""
+    from .omega_k import LedgerRangeError, OmegaKLedger
+    from .store import (
+        KIND_OMEGA_K,
+        ArtifactCache,
+        artifact_from_omega_k_ledger,
+        omega_k_ledger_from_artifact,
+    )
+
     n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
     if n_star > limit:  # refuse before reading the cache, as a fresh build would
         raise LedgerRangeError(
@@ -136,13 +142,13 @@ def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
         "K": str(as_real(K, args.precision)),
     }
     if cache is not None:
-        art = cache.lookup(store_mod.KIND_OMEGA_K, params)
+        art = cache.lookup(KIND_OMEGA_K, params)
         if art is not None:
-            return store_mod.omega_k_ledger_from_artifact(art, max_interval=limit)
+            return omega_k_ledger_from_artifact(art, max_interval=limit)
     ledger = OmegaKLedger(K, args.precision, max_interval=limit)
     ledger.ensure(n_star)
     if cache is not None:
-        cache.store(store_mod.artifact_from_omega_k_ledger(ledger))
+        cache.store(artifact_from_omega_k_ledger(ledger))
     return ledger
 
 
@@ -151,6 +157,8 @@ def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
 # ---------------------------------------------------------------------------
 
 def cmd_counts(args) -> int:
+    from .counts import build_table, component_class_by_name
+
     table = build_table(component_class_by_name(args.klass), args.n)
     columns = ["n"] + [f"k={k}" for k in range(1, args.n + 1)]
     rows = []
@@ -163,8 +171,10 @@ def cmd_counts(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    table = build_table(counts_mod.PERMUTATIONS, args.n)
-    dist = counts_mod.distribution(table, args.n)
+    from .counts import PERMUTATIONS, build_table, distribution
+
+    table = build_table(PERMUTATIONS, args.n)
+    dist = distribution(table, args.n)
     columns = ["k", "probability"]
     rows = [[str(k), format_rational(p)] for k, p in enumerate(dist.probs, start=1)]
     _emit(OutputTable(columns, rows).render(args.format), args.out)
@@ -172,8 +182,10 @@ def cmd_dist(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    table = build_table(counts_mod.PERMUTATIONS, args.n)
-    prob = counts_mod.tail_probability(table, args.n, args.k)
+    from .counts import PERMUTATIONS, build_table, tail_probability
+
+    table = build_table(PERMUTATIONS, args.n)
+    prob = tail_probability(table, args.n, args.k)
     columns = ["n", "k", "tail_probability"]
     rows = [[str(args.n), str(args.k), format_rational(prob)]]
     _emit(OutputTable(columns, rows).render(args.format), args.out)
@@ -181,8 +193,10 @@ def cmd_tail(args) -> int:
 
 
 def cmd_variance_series(args) -> int:
-    table = build_table(counts_mod.PERMUTATIONS, args.n)
-    series = counts_mod.variance_series(table, p=args.precision)
+    from .counts import PERMUTATIONS, build_table, variance_series
+
+    table = build_table(PERMUTATIONS, args.n)
+    series = variance_series(table, p=args.precision)
     columns = ["n", "variance", "variance_over_n"]
     rows = [
         [str(n), format_rational(var), format_real(von, args.digits)]
@@ -193,6 +207,8 @@ def cmd_variance_series(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    from .omega import eval_omega
+
     x = as_real(args.x, args.precision)
     n_star = _omega_limit(args)
     ledger = _get_omega_k_ledger(args, "1", n_star, n_star)
@@ -202,6 +218,8 @@ def cmd_omega(args) -> int:
 
 
 def cmd_constant(args) -> int:
+    from .omega import moment_constant
+
     n_star = _omega_limit(args)
     ledger = _get_omega_k_ledger(args, "1", n_star, n_star)
     const = moment_constant(ledger, args.moment)
@@ -215,6 +233,8 @@ def cmd_constant(args) -> int:
 
 
 def cmd_omega_k(args) -> int:
+    from .omega_k import eval_omega_k
+
     x = as_real(args.x, args.precision)
     ledger = _get_omega_k_ledger(args, args.k, int(x), args.max_interval)
     value = eval_omega_k(ledger, x)
@@ -223,6 +243,8 @@ def cmd_omega_k(args) -> int:
 
 
 def cmd_omega_k_table(args) -> int:
+    from .omega_k import PAPER_TABLE_GRID, table_values
+
     xs = [as_real(x, args.precision) for x in (args.x_list or PAPER_TABLE_GRID)]
     n_star = max(int(x) for x in xs)
     ledger = _get_omega_k_ledger(args, args.k, n_star, args.max_interval)
@@ -238,6 +260,8 @@ def cmd_omega_k_table(args) -> int:
 def cmd_cache(args) -> int:
     if not args.cache_dir:
         raise UsageError("cache command requires --cache-dir")
+    from .store import ArtifactCache
+
     cache = ArtifactCache(args.cache_dir)
     if args.action == "list":
         lines = "".join(f"{p.name}\n" for p in cache.entries())
@@ -286,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="Buchstab function value")
     p.add_argument("--x", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_omega, max_interval=QuadratureConfig.max_interval)
+    p.set_defaults(func=cmd_omega, max_interval=DEFAULT_OMEGA_INTERVAL)
 
     p = sub.add_parser("constant", help="moment constant from omega quadrature")
     p.add_argument("--moment", type=int, default=2,
                    help="moment order ell >= 2 (default 2, the variance constant)")
     _add_common(p)
-    p.set_defaults(func=cmd_constant, max_interval=QuadratureConfig.max_interval)
+    p.set_defaults(func=cmd_constant, max_interval=DEFAULT_OMEGA_INTERVAL)
 
     p = sub.add_parser("omega-k", help="generalized Buchstab function value")
     p.add_argument("--k", required=True, help="class parameter K > 0")
@@ -302,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega-k-table", help="Omega_K over the reference grid")
     p.add_argument("--k", required=True, help="class parameter K > 0")
-    p.add_argument("--x-list", nargs="*", default=None,
+    p.add_argument("--x-list", nargs="+", default=None,
                    help="evaluation points (default: 1..10 and 16..8192)")
     _add_common(p)
     p.set_defaults(func=cmd_omega_k_table, max_interval=DEFAULT_MAX_INTERVAL)
@@ -323,15 +347,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError(f"--digits {args.digits} is outside "
                              f"1..--precision {args.precision}")
         return args.func(args)
-    except MemoryCapError as exc:
+    except Exception as exc:
+        code = getattr(exc, "exit_code", None)
+        if code is None and isinstance(exc, (ValueError, IndexError)):
+            code = EXIT_USAGE  # UsageError is a ValueError
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STORE
-    except (UsageError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return code
 
 
 if __name__ == "__main__":

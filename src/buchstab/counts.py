@@ -28,9 +28,8 @@ sum to n!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from decimal import Decimal
 
@@ -62,9 +61,10 @@ BRUTE_FORCE_LIMIT = 8  # 8! = 40320 permutations, enumerable directly
 class MemoryCapError(MemoryError):
     """Estimated table size exceeds the configured cap."""
 
+    exit_code = 3  # the command line's resource-cap status
 
-@dataclass(frozen=True)
-class ComponentClass:
+
+class ComponentClass(NamedTuple("ComponentClass", [("name", str), ("smallest", int)])):
     """Permutations whose cycles all have at least ``smallest`` elements.
 
     There are c_k = (k-1)! components of each allowed size k.  Only
@@ -72,13 +72,13 @@ class ComponentClass:
     n!); derangements (smallest = 2) yield raw counts only.
     """
 
-    name: str
-    smallest: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.smallest not in (1, 2):  # build_table fills column 1 for these only
+    def __new__(cls, name: str, smallest: int):
+        if smallest not in (1, 2):  # build_table fills column 1 for these only
             raise ValueError(f"smallest component size must be 1 or 2, "
-                             f"got {self.smallest}")
+                             f"got {smallest}")
+        return super().__new__(cls, name, smallest)
 
     def c(self, k: int) -> int:
         return factorial(k - 1) if k >= self.smallest else 0
@@ -214,8 +214,7 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
     return CountTable(klass, N, suffix_rows, fact)
 
 
-@dataclass(frozen=True)
-class SmallestDistribution:
+class SmallestDistribution(NamedTuple):
     """Exact law of the smallest-component size at a fixed object size."""
 
     n: int
@@ -227,8 +226,7 @@ class SmallestDistribution:
         return self.probs[k - 1]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Exact first two moments and variance of the smallest-component size."""
 
     n: int

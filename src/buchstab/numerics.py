@@ -22,6 +22,8 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_PRECISION",
+    "DEFAULT_MAX_INTERVAL",
+    "DEFAULT_OMEGA_INTERVAL",
     "GAMMA_50",
     "PrecisionError",
     "context",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 30
+DEFAULT_MAX_INTERVAL = 16384  # how far an Omega_K ledger may grow
+DEFAULT_OMEGA_INTERVAL = 200  # n*, the last Taylor block of omega work
 
 # Euler-Mascheroni constant, 50 digits, vetted against standard tables.
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"

@@ -22,18 +22,24 @@ m = ell + 1, omega(t)/t^ell = Omega_1(t)/t^m = (2r)^m P(z) (1 + r z)^-m;
 ``series_over_binomial`` gives that product series (the Omega_K advance
 uses the same kernel with m = 1) and integral_{-1}^{1} z^i dz = 2/(i+1)
 for even i.  Defaults (p=30, n*=200) give
-C = 1.3072077989105680997446802..., 3e-28 from the value of the Laplace
+C = 1.30720779891056809974468019430, 1e-29 from the value of the Laplace
 transform route; the printed error budget, 1e-6, is the tail band; its
 truncation terms are below 1e-29.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
-from .numerics import DEFAULT_PRECISION, as_real, context, exp_neg_gamma
+from .numerics import (
+    DEFAULT_OMEGA_INTERVAL,
+    DEFAULT_PRECISION,
+    as_real,
+    context,
+    exp_neg_gamma,
+)
 from .omega_k import (
     LedgerRangeError,
     OmegaKLedger,
@@ -52,22 +58,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(NamedTuple("QuadratureConfig",
+                                   [("max_interval", int), ("precision", int)])):
     """Truncation and precision parameters for omega work.
 
     max_interval last Taylor block n* (tail handled analytically)
     precision    working decimal digits; it also sets each block's length
     """
 
-    max_interval: int = 200
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_interval < 5:
-            raise ValueError(f"max_interval must be >= 5, got {self.max_interval}")
-        if self.precision < 10:
-            raise ValueError(f"precision must be >= 10, got {self.precision}")
+    def __new__(cls, max_interval: int = DEFAULT_OMEGA_INTERVAL,
+                precision: int = DEFAULT_PRECISION):
+        if max_interval < 5:
+            raise ValueError(f"max_interval must be >= 5, got {max_interval}")
+        if precision < 10:
+            raise ValueError(f"precision must be >= 10, got {precision}")
+        return super().__new__(cls, max_interval, precision)
 
 
 def _require_k1(ledger: OmegaKLedger) -> None:
@@ -125,8 +132,7 @@ def integrate_block(ledger: OmegaKLedger, n: int, moment_order: int = 2) -> Deci
         return +((2 * r) ** m * total)
 
 
-@dataclass(frozen=True)
-class MomentConstant:
+class MomentConstant(NamedTuple):
     """ell * integral_1^inf omega(x)/x^ell dx with an explicit error budget.
 
     ``first_interval`` is the exact rational contribution of [1, 2]
@@ -173,5 +179,5 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
 
         tail_band = Decimal("1e-4") * Decimal(n_star) ** (1 - ell) \
             * Decimal(ell) / Decimal(ell - 1)
-        budget = +(Decimal(ell) * trunc + tail_band)
-    return MomentConstant(ell, +value, budget, first)
+        budget = Decimal(ell) * trunc + tail_band
+    return MomentConstant(ell, value, budget, first)

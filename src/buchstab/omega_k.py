@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .numerics import DEFAULT_PRECISION, as_real, context
+from .numerics import DEFAULT_MAX_INTERVAL, DEFAULT_PRECISION, as_real, context
 
 __all__ = [
     "LedgerRangeError",
@@ -67,8 +66,6 @@ __all__ = [
     "DEFAULT_MAX_INTERVAL",
 ]
 
-DEFAULT_MAX_INTERVAL = 16384
-
 # Reference evaluation grid used by the table command: 1..10 and the
 # powers of two 16..8192.
 PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
@@ -80,8 +77,7 @@ class LedgerRangeError(ValueError):
     """Evaluation point outside the ledger's covered interval."""
 
 
-@dataclass(frozen=True)
-class OmegaBlock:
+class OmegaBlock(NamedTuple):
     """Taylor coefficients on [n, n+1) in z = 2(x-n) - 1."""
 
     n: int

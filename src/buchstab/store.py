@@ -17,10 +17,9 @@ import fcntl
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .omega_k import OmegaBlock, OmegaKLedger
 
@@ -45,6 +44,8 @@ KIND_OMEGA_K = "omega-k-ledger"
 class StoreError(Exception):
     """Persistence failure."""
 
+    exit_code = 4  # the command line's persistence-error status
+
 
 class VersionError(StoreError):
     """Artifact written by an unsupported format version."""
@@ -58,8 +59,7 @@ def _canonical_bytes(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-@dataclass(frozen=True)
-class StoredArtifact:
+class StoredArtifact(NamedTuple):
     kind: str
     params: Dict[str, Any]
     payload: Dict[str, Any]

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 
 from buchstab.cli import format_rational, format_real, main
-from buchstab.store import StoredArtifact, load_artifact, save_artifact
+from buchstab.store import (
+    StoredArtifact,
+    load_artifact,
+    omega_k_ledger_from_artifact,
+    save_artifact,
+)
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +328,47 @@ def test_persistence_error_exit_code(tmp_path):
         "omega-k", "--k", "1", "--x", "2.5", "--cache-dir", str(bad / "sub"),
     )
     assert code == 4
+
+
+def test_corrupt_cache_file_exit_code_in_a_fresh_process(tmp_path):
+    # exit 4 must not rely on main having imported the store layer up front
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(tmp_path))
+    code, fresh, _ = run_proc(*args)
+    assert code == 0 and fresh == "3.08803\n"
+    [entry] = tmp_path.glob("*.json")
+    data = entry.read_bytes()
+    at = data.index(b'"coeffs":["', data.index(b'"payload"')) + len(b'"coeffs":["')
+    flipped = b"2" if data[at:at + 1] != b"2" else b"3"
+    entry.write_bytes(data[:at] + flipped + data[at + 1:])
+    code, out, err = run_proc(*args)
+    assert (code, out) == (4, "") and "checksum" in err
+
+
+def test_empty_x_list_is_a_usage_error():
+    # an empty --x-list is an error, not the default grid
+    code, out, err = run_proc("omega-k-table", "--k", "1", "--x-list")
+    assert (code, out) == (2, "") and "--x-list" in err
+
+
+def test_concurrent_writers_share_a_cache_directory(capsys, tmp_path):
+    # four processes, two per key, write one cache directory at once
+    argvs = [("omega-k", "--k", K, "--x", "40.5") for K in ("1", "0.5")] * 2
+    expected = {argv: run_cli(capsys, *argv) for argv in argvs}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "buchstab", *argv, "--cache-dir", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in argvs
+    ]
+    for argv, proc in zip(argvs, procs):
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == expected[argv], err
+    entries = sorted(tmp_path.glob("*.json"))
+    assert len(entries) == 2
+    assert sorted(str(omega_k_ledger_from_artifact(load_artifact(e)).K)
+                  for e in entries) == ["0.5", "1"]
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("argv", [

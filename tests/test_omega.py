@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from buchstab.cli import main
 from buchstab.numerics import DEFAULT_PRECISION, context, exp_neg_gamma
 from buchstab.omega import (
     LedgerRangeError,
@@ -252,6 +253,15 @@ def test_ledger_determinism():
         assert [str(c) for c in a.block(n).coeffs] == [
             str(c) for c in b.block(n).coeffs
         ]
+
+
+@pytest.mark.parametrize("precision", [30, 40])
+def test_cli_constant_carries_the_working_precision(capsys, precision):
+    # the value is rounded to --precision digits, not to the ambient 28
+    assert main(["constant", "--precision", str(precision),
+                 "--digits", str(precision)]) == 0
+    value = Decimal(capsys.readouterr().out.splitlines()[0].split("=")[1])
+    assert abs(value - C_REFERENCE) <= Decimal("1e-29")
 
 
 def test_config_validation():
