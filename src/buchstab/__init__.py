@@ -32,9 +32,8 @@ _EXPORTS = {
     ),
     "omega_k": (
         "LedgerRangeError", "OmegaBlock", "OmegaKLedger", "advance_omega_k",
-        "alpha_vector", "eval_omega_k", "oracle_quadrature",
-        "proportion_large_smallest", "seed_block1", "seed_block2",
-        "table_values",
+        "eval_omega_k", "oracle_quadrature", "proportion_large_smallest",
+        "seed_block1", "seed_block2", "table_values",
     ),
     "store": (
         "ArtifactCache", "CorruptArtifactError", "StoredArtifact",

@@ -12,6 +12,9 @@ Subcommands:
     omega-k-table    table of Omega_K over the reference grid
     cache            list or clear the artifact cache
 
+Each subcommand accepts only the options it reads, except that the
+count commands accept ``--cache-dir`` and ignore it.
+
 Every command is a pure function of its arguments (plus any cached
 artifacts): repeated runs emit byte-identical output.  Exit codes:
 0 success, 2 usage error, 3 resource cap, 4 persistence error.
@@ -34,8 +37,8 @@ from .numerics import (
 )
 
 # Each command imports the layers it runs when it runs, so a call loads
-# only those.  Errors that carry an ``exit_code`` (MemoryCapError: 3,
-# StoreError: 4) set the exit status without main importing their layer.
+# only those.  Errors that carry an ``exit_code`` (MemoryCapError: 3;
+# StoreError, OutputError: 4) set the exit status without main importing.
 EXIT_OK = 0
 EXIT_USAGE = 2
 
@@ -82,32 +85,19 @@ class OutputTable:
         raise ValueError(f"unknown format {fmt!r}")
 
 
+class OutputError(Exception):
+    exit_code = 4  # the --out file cannot be written: a persistence error
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table output format (default csv)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
-    parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                        help=f"significant digits for real values, at most "
-                             f"--precision (default {DEFAULT_DIGITS})")
-    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help=f"working precision in decimal digits "
-                             f"(default {DEFAULT_PRECISION})")
-    parser.add_argument("--max-interval", type=int, default=None,
-                        help="last Taylor block n* (default 200 for omega; "
-                             "grown on demand for omega-k)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="cache Omega_K ledgers in DIR and reuse them on "
-                             "parameter match (count commands build their "
-                             "table directly and ignore it)")
+    except OSError as exc:
+        raise OutputError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _omega_limit(args) -> int:
@@ -117,39 +107,6 @@ def _omega_limit(args) -> int:
 
     return QuadratureConfig(max_interval=args.max_interval,
                             precision=args.precision).max_interval
-
-
-def _get_omega_k_ledger(args, K: str, n_star: int, limit: int):
-    """The K ledger through block n_star, growable to ``limit``; omega
-    and constant use K = 1, so all omega commands share one cache entry."""
-    from .omega_k import LedgerRangeError, OmegaKLedger
-    from .store import (
-        KIND_OMEGA_K,
-        ArtifactCache,
-        artifact_from_omega_k_ledger,
-        omega_k_ledger_from_artifact,
-    )
-
-    n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
-    if n_star > limit:  # refuse before reading the cache, as a fresh build would
-        raise LedgerRangeError(
-            f"block {n_star} beyond the configured ledger limit {limit}"
-        )
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
-    params = {
-        "n_star": n_star,
-        "p": args.precision,
-        "K": str(as_real(K, args.precision)),
-    }
-    if cache is not None:
-        art = cache.lookup(KIND_OMEGA_K, params)
-        if art is not None:
-            return omega_k_ledger_from_artifact(art, max_interval=limit)
-    ledger = OmegaKLedger(K, args.precision, max_interval=limit)
-    ledger.ensure(n_star)
-    if cache is not None:
-        cache.store(artifact_from_omega_k_ledger(ledger))
-    return ledger
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +165,11 @@ def cmd_variance_series(args) -> int:
 
 def cmd_omega(args) -> int:
     from .omega import eval_omega
+    from .store import cached_ledger
 
     x = as_real(args.x, args.precision)
     n_star = _omega_limit(args)
-    ledger = _get_omega_k_ledger(args, "1", n_star, n_star)
+    ledger = cached_ledger(args.cache_dir, "1", args.precision, n_star, n_star)
     value = eval_omega(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
@@ -219,9 +177,10 @@ def cmd_omega(args) -> int:
 
 def cmd_constant(args) -> int:
     from .omega import moment_constant
+    from .store import cached_ledger
 
     n_star = _omega_limit(args)
-    ledger = _get_omega_k_ledger(args, "1", n_star, n_star)
+    ledger = cached_ledger(args.cache_dir, "1", args.precision, n_star, n_star)
     const = moment_constant(ledger, args.moment)
     lines = (
         f"constant={format_real(const.value, args.digits)}\n"
@@ -234,9 +193,11 @@ def cmd_constant(args) -> int:
 
 def cmd_omega_k(args) -> int:
     from .omega_k import eval_omega_k
+    from .store import cached_ledger
 
     x = as_real(args.x, args.precision)
-    ledger = _get_omega_k_ledger(args, args.k, int(x), args.max_interval)
+    ledger = cached_ledger(args.cache_dir, args.k, args.precision, int(x),
+                           args.max_interval)
     value = eval_omega_k(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
@@ -244,10 +205,12 @@ def cmd_omega_k(args) -> int:
 
 def cmd_omega_k_table(args) -> int:
     from .omega_k import PAPER_TABLE_GRID, table_values
+    from .store import cached_ledger
 
     xs = [as_real(x, args.precision) for x in (args.x_list or PAPER_TABLE_GRID)]
     n_star = max(int(x) for x in xs)
-    ledger = _get_omega_k_ledger(args, args.k, n_star, args.max_interval)
+    ledger = cached_ledger(args.cache_dir, args.k, args.precision, n_star,
+                           args.max_interval)
     columns = ["x", "omega_k"]
     rows = [
         [f"{x:f}", format_real(v, args.digits)]
@@ -258,13 +221,11 @@ def cmd_omega_k_table(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    if not args.cache_dir:
-        raise UsageError("cache command requires --cache-dir")
     from .store import ArtifactCache
 
     cache = ArtifactCache(args.cache_dir)
     if args.action == "list":
-        lines = "".join(f"{p.name}\n" for p in cache.entries())
+        lines = "".join(f"{name}\n" for name in cache.entries())
         _emit(lines, args.out)
     else:
         removed = cache.clear()
@@ -274,6 +235,40 @@ def cmd_cache(args) -> int:
 
 class UsageError(ValueError):
     pass
+
+
+_CACHE_HELP = {
+    "ledgers": "cache Omega_K ledgers in DIR and reuse them on parameter match",
+    "ignored": "accepted and ignored: the count table is built directly",
+    "required": "the cache directory",
+}
+
+_N_STAR = (DEFAULT_OMEGA_INTERVAL, "last Taylor block n*; the tail past it is analytic")
+_GROWTH_LIMIT = (DEFAULT_MAX_INTERVAL, "how far the Omega_K ledger may grow")
+
+
+def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
+                 reals: bool = True, max_interval: Optional[tuple] = None,
+                 cache: str = "ledgers") -> None:
+    """The output and precision options a subcommand reads."""
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="table output format (default csv)")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="write output to PATH instead of stdout")
+    if reals:
+        parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+                            help=f"significant digits for real values, at most "
+                                 f"--precision (default {DEFAULT_DIGITS})")
+        parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                            help=f"working precision in decimal digits "
+                                 f"(default {DEFAULT_PRECISION})")
+    if max_interval is not None:
+        default, what = max_interval
+        parser.add_argument("--max-interval", type=int, default=default,
+                            help=f"{what} (default {default})")
+    parser.add_argument("--cache-dir", metavar="DIR", default=None,
+                        required=cache == "required", help=_CACHE_HELP[cache])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,52 +283,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest object size")
     p.add_argument("--class", dest="klass", default="permutations",
                    help="component class (permutations, derangements)")
-    _add_common(p)
+    _add_options(p, reals=False, cache="ignored")
     p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("dist", help="exact smallest-component distribution")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_options(p, reals=False, cache="ignored")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("tail", help="exact tail probability P{X_n >= k}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_options(p, reals=False, cache="ignored")
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("variance-series", help="variance of X_n for n = 1..N")
     p.add_argument("--n", type=int, required=True, metavar="N")
-    _add_common(p)
+    _add_options(p, cache="ignored")
     p.set_defaults(func=cmd_variance_series)
 
     p = sub.add_parser("omega", help="Buchstab function value")
     p.add_argument("--x", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_omega, max_interval=DEFAULT_OMEGA_INTERVAL)
+    _add_options(p, table=False, max_interval=_N_STAR)
+    p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("constant", help="moment constant from omega quadrature")
     p.add_argument("--moment", type=int, default=2,
                    help="moment order ell >= 2 (default 2, the variance constant)")
-    _add_common(p)
-    p.set_defaults(func=cmd_constant, max_interval=DEFAULT_OMEGA_INTERVAL)
+    _add_options(p, table=False, max_interval=_N_STAR)
+    p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("omega-k", help="generalized Buchstab function value")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_omega_k, max_interval=DEFAULT_MAX_INTERVAL)
+    _add_options(p, table=False, max_interval=_GROWTH_LIMIT)
+    p.set_defaults(func=cmd_omega_k)
 
     p = sub.add_parser("omega-k-table", help="Omega_K over the reference grid")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x-list", nargs="+", default=None,
                    help="evaluation points (default: 1..10 and 16..8192)")
-    _add_common(p)
-    p.set_defaults(func=cmd_omega_k_table, max_interval=DEFAULT_MAX_INTERVAL)
+    _add_options(p, max_interval=_GROWTH_LIMIT)
+    p.set_defaults(func=cmd_omega_k_table)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
     p.add_argument("action", choices=("list", "clear"))
-    _add_common(p)
+    _add_options(p, table=False, reals=False, cache="required")
     p.set_defaults(func=cmd_cache)
 
     return parser
@@ -343,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.digits <= args.precision:
+        if "digits" in args and not 1 <= args.digits <= args.precision:
             raise UsageError(f"--digits {args.digits} is outside "
                              f"1..--precision {args.precision}")
         return args.func(args)

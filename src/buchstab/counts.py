@@ -53,13 +53,13 @@ __all__ = [
     "estimate_table_bytes",
 ]
 
-DEFAULT_MEMORY_CAP = 2 << 30  # 2 GiB
+MEMORY_CAP = 2 << 30  # 2 GiB
 
 BRUTE_FORCE_LIMIT = 8  # 8! = 40320 permutations, enumerable directly
 
 
 class MemoryCapError(MemoryError):
-    """Estimated table size exceeds the configured cap."""
+    """Estimated table size exceeds MEMORY_CAP."""
 
     exit_code = 3  # the command line's resource-cap status
 
@@ -172,8 +172,7 @@ class CountTable:
             )
 
 
-def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
-                memory_cap: int = DEFAULT_MEMORY_CAP) -> CountTable:
+def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100) -> CountTable:
     """Build the exact count table for sizes 1..N.
 
     Fills suffix column k = 2..N by the column recurrence of the module
@@ -182,15 +181,15 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100, *,
     are (n-1)!, so they share the factorial integers.  Suffix entry 1 is
     n! for permutations and the column-2 entry T(2, n) for derangements.
     A finished table is immutable.  Raises MemoryCapError when the size
-    estimate exceeds ``memory_cap`` bytes.
+    estimate exceeds ``MEMORY_CAP`` bytes.
     """
     if N < 1:
         raise ValueError(f"table size must be >= 1, got {N}")
-    est = estimate_table_bytes(N, memory_cap)
-    if est > memory_cap:
+    est = estimate_table_bytes(N, MEMORY_CAP)
+    if est > MEMORY_CAP:
         raise MemoryCapError(
             f"estimated table size of at least {est / 2**20:.0f} MiB exceeds cap "
-            f"{memory_cap / 2**20:.0f} MiB (N={N})"
+            f"{MEMORY_CAP / 2**20:.0f} MiB (N={N})"
         )
 
     fact = [1] * (N + 1)

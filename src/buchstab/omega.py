@@ -127,7 +127,7 @@ def integrate_block(ledger: OmegaKLedger, n: int, moment_order: int = 2) -> Deci
             if rho < 1 and weight * b_next < eps * (1 - rho):
                 break
             b, K = b_next, K + 1
-        d = series_over_binomial(block.coeffs, r, m, len(block.coeffs) + K, p)
+        d = series_over_binomial(block.coeffs, r, m, len(block.coeffs) + K)
         total = sum(d[i] / (i + 1) for i in range(0, len(d), 2))
         return +((2 * r) ** m * total)
 

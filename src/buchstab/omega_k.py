@@ -56,7 +56,6 @@ __all__ = [
     "OmegaKLedger",
     "seed_block1",
     "seed_block2",
-    "alpha_vector",
     "advance_omega_k",
     "eval_omega_k",
     "proportion_large_smallest",
@@ -104,19 +103,13 @@ def _cut(coeffs: Sequence[Decimal], tail: Decimal, p: int) -> Tuple[Decimal, ...
 
 
 def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
-                         length: int, p: int = DEFAULT_PRECISION) -> List[Decimal]:
-    """Coefficients 0..length-1 of P(z) (1 + r z)^-m, P = sum_i coeffs[i] z^i.
+                         length: int) -> List[Decimal]:
+    """Coefficients 0..length-1 of P(z) (1 + r z)^-m, P = sum_i coeffs[i] z^i,
+    under the current context (call under a p-digit one, like ``_cut``).
 
     Matching powers of z in (1 + r z)^m D(z) = P(z) gives
     d_i = c_i - sum_{k=1..m} C(m, k) r^k d_{i-k}, O(length * m) operations.
     """
-    with localcontext(context(p)):
-        return _series_over_binomial(coeffs, r, m, length)
-
-
-def _series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
-                          length: int) -> List[Decimal]:
-    """``series_over_binomial`` under the current context."""
     weights = [math.comb(m, k) * r ** k for k in range(1, m + 1)]
     out: List[Decimal] = []
     for i in range(length):
@@ -154,32 +147,18 @@ def seed_block2(K, p: int = DEFAULT_PRECISION) -> OmegaBlock:
     return OmegaBlock(2, tuple(coeffs))
 
 
-def alpha_vector(prev: OmegaBlock, n: int, p: int = DEFAULT_PRECISION
-                 ) -> Tuple[Decimal, ...]:
-    """alpha_i = sum_{j<=i} (-1)^(i-j) (2n-1)^-(i-j) c[n-1, j] for i < len(prev).
-
-    These are the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1.
-    """
-    with localcontext(context(p)):
-        return tuple(_alpha(prev, n))
-
-
-def _alpha(prev: OmegaBlock, n: int) -> List[Decimal]:
-    """``alpha_vector`` under the current context."""
-    if n < 3:
-        raise ValueError(f"alpha vector is defined for target blocks n >= 3, got {n}")
-    return _series_over_binomial(prev.coeffs, 1 / Decimal(2 * n - 1), 1, len(prev.coeffs))
-
-
 def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlock:
-    """Derive block n = prev.n + 1 (n >= 3) from the alpha vector, cut
-    where its dropped coefficients total less than 10^-p |c_0|."""
+    """Derive block n = prev.n + 1 (n >= 3) from the alpha vector, the
+    coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1, cut where its dropped
+    coefficients total less than 10^-p |c_0|."""
     n = prev.n + 1
+    if n < 3:
+        raise ValueError(f"the advance derives blocks n >= 3, got {n}")
     L = len(prev.coeffs)
     Kd = as_real(K, p)
     with localcontext(context(p)):
-        alpha = _alpha(prev, n)
         m = Decimal(2 * n - 1)
+        alpha = series_over_binomial(prev.coeffs, 1 / m, 1, L)
         s_prev = sum(prev.coeffs, Decimal(0))
         s_alpha = sum((a if i % 2 else -a) / (i + 1) for i, a in enumerate(alpha))
         coeffs = [s_prev - Kd / m * s_alpha]

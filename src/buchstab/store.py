@@ -18,10 +18,10 @@ import hashlib
 import json
 import os
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from .omega_k import OmegaBlock, OmegaKLedger
+from .numerics import as_real
+from .omega_k import LedgerRangeError, OmegaBlock, OmegaKLedger
 
 __all__ = [
     "FORMAT_VERSION",
@@ -34,6 +34,7 @@ __all__ = [
     "save_artifact",
     "load_artifact",
     "ArtifactCache",
+    "cached_ledger",
 ]
 
 FORMAT_VERSION = 2
@@ -116,6 +117,11 @@ def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
     return blocks  # type: ignore[return-value]
 
 
+def _ledger_params(n_star: int, p: int, K: Decimal) -> Dict[str, Any]:
+    """The parameters that key a ledger artifact and head its file."""
+    return {"n_star": n_star, "p": p, "K": str(K)}
+
+
 def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
     blocks = [
         {"n": b.n, "coeffs": [str(c) for c in b.coeffs]}
@@ -123,11 +129,7 @@ def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
     ]
     return StoredArtifact(
         KIND_OMEGA_K,
-        {
-            "n_star": ledger.built_through,
-            "p": ledger.p,
-            "K": str(ledger.K),
-        },
+        _ledger_params(ledger.built_through, ledger.p, ledger.K),
         {"blocks": blocks},
     )
 
@@ -151,18 +153,18 @@ def save_artifact(art: StoredArtifact, path) -> None:
     """Write the artifact; the byte stream is canonical and reproducible."""
     doc = {"header": art.header(), "payload": art.payload}
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(data, encoding="ascii")
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(data)
     except OSError as exc:
         raise StoreError(f"cannot write artifact {path}: {exc}") from exc
 
 
 def load_artifact(path) -> StoredArtifact:
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="ascii"))
+        with open(path, encoding="ascii") as fh:
+            doc = json.loads(fh.read())
     except OSError as exc:
         raise StoreError(f"cannot read artifact {path}: {exc}") from exc
     except ValueError as exc:  # not ASCII, or not JSON
@@ -191,7 +193,7 @@ def load_artifact(path) -> StoredArtifact:
 
 
 class ArtifactCache:
-    """Parameter-keyed artifact cache in a directory.
+    """Parameter-keyed cache of ledger artifacts in a directory.
 
     Writers hold an exclusive ``flock`` on ``.lock`` so concurrent
     processes do not interleave writes; the kernel releases it when the
@@ -200,36 +202,36 @@ class ArtifactCache:
     """
 
     def __init__(self, directory):
-        self.directory = Path(directory)
+        self.directory = os.fspath(directory)
 
-    def _key_path(self, kind: str, params: Dict[str, Any]) -> Path:
+    def _key_path(self, params: Dict[str, Any]) -> str:
         digest = hashlib.sha256(
-            _canonical_bytes({"kind": kind, "params": params})
+            _canonical_bytes({"kind": KIND_OMEGA_K, "params": params})
         ).hexdigest()[:24]
-        return self.directory / f"{kind}-{digest}.json"
+        return os.path.join(self.directory, f"{KIND_OMEGA_K}-{digest}.json")
 
-    def lookup(self, kind: str, params: Dict[str, Any]):
+    def lookup(self, params: Dict[str, Any]):
         """The cached artifact, or None on a miss.  An entry written in
         another format version is a miss, so it is rebuilt and replaced."""
-        path = self._key_path(kind, params)
-        if not path.exists():
+        path = self._key_path(params)
+        if not os.path.exists(path):
             return None
         try:
             art = load_artifact(path)
         except VersionError:
             return None
-        if art.kind != kind or art.params != params:
+        if art.kind != KIND_OMEGA_K or art.params != params:
             raise CorruptArtifactError(f"cache file {path} does not match its key")
         return art
 
-    def store(self, art: StoredArtifact) -> Path:
-        path = self._key_path(art.kind, art.params)
+    def store(self, art: StoredArtifact) -> str:
+        path = self._key_path(art.params)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self.directory, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot create cache directory "
                              f"{self.directory}: {exc}") from exc
-        lock_path = self.directory / ".lock"
+        lock_path = os.path.join(self.directory, ".lock")
         try:
             lock = open(lock_path, "a")
         except OSError as exc:
@@ -237,21 +239,45 @@ class ArtifactCache:
         with lock:  # closing the file releases the lock
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX)
-                tmp = path.with_suffix(".tmp")
+                tmp = os.path.splitext(path)[0] + ".tmp"
                 save_artifact(art, tmp)
                 os.replace(tmp, path)
             except OSError as exc:
                 raise StoreError(f"cannot store artifact {path}: {exc}") from exc
         return path
 
-    def entries(self) -> List[Path]:
-        if not self.directory.is_dir():
+    def entries(self) -> List[str]:
+        """File names of the cached artifacts, sorted."""
+        if not os.path.isdir(self.directory):
             return []
-        return sorted(self.directory.glob("*.json"))
+        return sorted(name for name in os.listdir(self.directory)
+                      if name.endswith(".json"))
 
     def clear(self) -> int:
         removed = 0
-        for path in self.entries():
-            path.unlink()
+        for name in self.entries():
+            os.unlink(os.path.join(self.directory, name))
             removed += 1
         return removed
+
+
+def cached_ledger(cache_dir: Optional[str], K, p: int, n_star: int,
+                  limit: int) -> OmegaKLedger:
+    """The K ledger at precision p through block n_star, growable to
+    ``limit``: served from ``cache_dir`` on a key match, else built and
+    stored there (no cache when ``cache_dir`` is None)."""
+    n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
+    if n_star > limit:  # refuse before reading the cache, as a fresh build would
+        raise LedgerRangeError(
+            f"block {n_star} beyond the configured ledger limit {limit}"
+        )
+    cache = ArtifactCache(cache_dir) if cache_dir else None
+    if cache is not None:
+        art = cache.lookup(_ledger_params(n_star, p, as_real(K, p)))
+        if art is not None:
+            return omega_k_ledger_from_artifact(art, max_interval=limit)
+    ledger = OmegaKLedger(K, p, max_interval=limit)
+    ledger.ensure(n_star)
+    if cache is not None:
+        cache.store(artifact_from_omega_k_ledger(ledger))
+    return ledger

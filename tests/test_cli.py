@@ -272,6 +272,86 @@ def test_zero_max_interval_is_a_usage_error(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("variance-series", "--n", "3"),
+    ("constant",),
+    ("omega-k", "--k", "1", "--x", "5"),
+    ("omega-k-table", "--k", "1", "--x-list", "3"),
+])
+def test_digits_are_checked_on_every_command_that_prints_reals(capsys, argv):
+    assert main([*argv, "--digits", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--digits 31 is outside 1..--precision 30" in captured.err
+
+
+# the options each subcommand accepted without reading them
+REMOVED_OPTIONS = [
+    (base, option)
+    for base, options in [
+        (("counts", "--n", "3"), ("--digits", "--precision", "--max-interval")),
+        (("dist", "--n", "3"), ("--digits", "--precision", "--max-interval")),
+        (("tail", "--n", "3", "--k", "2"), ("--digits", "--precision", "--max-interval")),
+        (("variance-series", "--n", "3"), ("--max-interval",)),
+        (("omega", "--x", "2.5"), ("--format",)),
+        (("constant",), ("--format",)),
+        (("omega-k", "--k", "1", "--x", "2.5"), ("--format",)),
+        (("cache", "list", "--cache-dir", "unused"),
+         ("--format", "--digits", "--precision", "--max-interval")),
+    ]
+    for option in options
+]
+OPTION_VALUES = {"--format": "json", "--digits": "6", "--precision": "40",
+                 "--max-interval": "50"}
+
+
+@pytest.mark.parametrize("base, option", REMOVED_OPTIONS,
+                         ids=[f"{base[0]}{option}" for base, option in REMOVED_OPTIONS])
+def test_options_a_command_does_not_read_are_rejected(capsys, base, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*base, option, OPTION_VALUES[option]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {option}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--x", "2.5"),
+    ("counts", "--n", "3"),
+    ("cache", "list", "--cache-dir", "unused"),
+])
+def test_unwritable_out_is_a_persistence_error(capsys, tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "missing" / "f")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: cannot write output")
+
+
+def test_unwritable_out_exit_code_in_a_fresh_process(tmp_path):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("a file")
+    code, out, err = run_proc("omega", "--x", "2.5", "--out", str(occupied / "f"))
+    assert (code, out) == (4, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot write output")
+
+
+@pytest.mark.parametrize("spelling", ["5e-1", "1.0"])
+def test_warm_call_hits_the_entry_it_stored(capsys, tmp_path, spelling):
+    # the lookup key and the stored artifact's params must agree for any
+    # spelling of K, or every warm call would miss and rewrite the entry
+    args = ("omega-k", "--k", spelling, "--x", "5.5", "--cache-dir", str(tmp_path))
+    code, cold = run_cli(capsys, *args)
+    assert code == 0
+    [entry] = tmp_path.glob("*.json")
+    os.utime(entry, ns=(10 ** 9, 10 ** 9))
+    stamp = entry.stat()
+    assert run_cli(capsys, *args) == (0, cold)
+    after = entry.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
+
+
 @pytest.mark.parametrize("digits", ["0", "-3", "31", "100"])
 def test_digits_beyond_precision_is_a_usage_error(capsys, digits):
     # more digits than --precision would print made-up zeros

@@ -10,12 +10,13 @@ from buchstab.omega import LedgerRangeError, QuadratureConfig, build_omega_ledge
 from buchstab.omega_k import (
     OmegaBlock,
     OmegaKLedger,
-    alpha_vector,
+    advance_omega_k,
     eval_omega_k,
     oracle_quadrature,
     proportion_large_smallest,
     seed_block1,
     seed_block2,
+    series_over_binomial,
     table_values,
 )
 
@@ -54,16 +55,23 @@ def test_seed_block2_half_right_limit():
     assert abs(limit - Decimal("1.3470")) < Decimal("2e-3") * limit
 
 
+def alpha_of(prev, n: int):
+    """The advance's alpha: the coefficients of P_{n-1}(z) (1 + z/(2n-1))^-1."""
+    with localcontext(context(30)):
+        return series_over_binomial(prev.coeffs, 1 / Decimal(2 * n - 1), 1,
+                                    len(prev.coeffs))
+
+
 def test_alpha_from_constant_block():
     b1 = OmegaBlock(1, (Decimal(1),) + (Decimal(0),) * 12)
-    alpha = alpha_vector(b1, 3, 30)
+    alpha = alpha_of(b1, 3)
     for i, a in enumerate(alpha):
         expected = Decimal(-1) ** i / Decimal(5) ** i
         assert abs(a - expected) < Decimal("1e-28"), i
 
 
 def alpha_convolution(prev, n: int, p: int = 30):
-    """Oracle for alpha_vector: the O(J^2) convolution of the previous
+    """Oracle for alpha_of: the O(J^2) convolution of the previous
     block with the powers of -1/(2n-1)."""
     J = len(prev.coeffs) - 1
     with localcontext(context(p)):
@@ -79,9 +87,14 @@ def test_alpha_matches_convolution(ledger_k1, ledger_k05):
     for ledger in (ledger_k1, ledger_k05):
         for n in (3, 4, 7, 40, 150):
             prev = ledger.block(n - 1)
-            got = alpha_vector(prev, n, 30)
+            got = alpha_of(prev, n)
             want = alpha_convolution(prev, n, 30)
             assert max(abs(a - b) for a, b in zip(got, want)) < Decimal("1e-28"), n
+
+
+def test_advance_derives_blocks_from_the_third_on():
+    with pytest.raises(ValueError, match="n >= 3"):
+        advance_omega_k(seed_block1(), 1)
 
 
 def test_concurrent_growth_keeps_block_order():
@@ -134,13 +147,13 @@ def test_concurrent_reads_match_sequential_values():
 
 def test_alpha_first_entry_is_previous_c0(ledger_k1):
     prev = ledger_k1.block(4)
-    alpha = alpha_vector(prev, 5, 30)
+    alpha = alpha_of(prev, 5)
     assert alpha[0] == prev.coeffs[0]
 
 
 def test_alpha_from_block2():
     b2 = seed_block2(1, 30)
-    alpha = alpha_vector(b2, 3, 30)
+    alpha = alpha_of(b2, 3)
     expected = b2.coeffs[1] - b2.coeffs[0] / 5
     assert abs(alpha[1] - expected) < Decimal("1e-28")
     assert abs(alpha[1] - Decimal("0.05224031171")) < Decimal("1e-10")

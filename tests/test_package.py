@@ -1,6 +1,7 @@
 """What importing the package and running one command load, and the
 public records' contracts (constructor, validation, immutability)."""
 
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -11,13 +12,13 @@ import pytest
 import buchstab
 
 
-def imported_modules(*args):
+def imported_modules(*args, env=None):
     """Names of the modules a fresh ``python -X importtime *args`` imports.
 
     Modules a site hook loads before the command show up in every run,
     so comparing two runs leaves only what the command itself added."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -49,6 +50,23 @@ def test_a_command_loads_only_the_layers_it_runs(baseline, argv, layers):
     added = imported_modules("-m", "buchstab", *argv) - baseline
     assert added & LAYERS == layers
     assert "dataclasses" not in added
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--x", "5.5", "--max-interval", "10"),
+    ("constant", "--max-interval", "10"),
+    ("omega-k", "--k", "1", "--x", "5.5"),
+    ("omega-k-table", "--k", "1", "--x-list", "2", "3"),
+    ("cache", "list"),
+])
+def test_ledger_commands_load_no_pathlib(tmp_path, argv):
+    # under -S no site step preloads pathlib, so the store's own imports show
+    src = os.path.dirname(os.path.dirname(buchstab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for _ in ("cold", "warm"):
+        loaded = imported_modules("-S", "-m", "buchstab", *argv,
+                                  "--cache-dir", str(tmp_path), env=env)
+        assert "buchstab.store" in loaded and "pathlib" not in loaded
 
 
 def test_importing_the_package_loads_no_module(baseline):

@@ -215,13 +215,13 @@ def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
 def test_cache_hit_and_miss(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     art = _omega_k_artifact(6)
-    assert cache.lookup(art.kind, art.params) is None
+    assert cache.lookup(art.params) is None
     cache.store(art)
-    hit = cache.lookup(art.kind, art.params)
+    hit = cache.lookup(art.params)
     assert hit is not None
     expected = str(eval_omega_k(omega_k_ledger_from_artifact(art), "5.5"))
     assert str(eval_omega_k(omega_k_ledger_from_artifact(hit), "5.5")) == expected
-    assert cache.lookup(art.kind, dict(art.params, n_star=7)) is None
+    assert cache.lookup(dict(art.params, n_star=7)) is None
 
 
 def test_store_ignores_leftover_lock_file(tmp_path):
@@ -231,7 +231,7 @@ def test_store_ignores_leftover_lock_file(tmp_path):
     (tmp_path / "cache" / ".lock").touch()
     art = _omega_k_artifact(5)
     cache.store(art)
-    hit = cache.lookup(art.kind, art.params)
+    hit = cache.lookup(art.params)
     assert hit is not None and hit.payload == art.payload
 
 
