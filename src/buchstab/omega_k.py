@@ -175,6 +175,9 @@ class OmegaKLedger:
     Blocks are appended sequentially up to the largest requested x and
     then reused; finished blocks are never mutated.  Growth holds a
     lock, so threads may share a ledger; reads of built blocks take none.
+    Growth starts from ``block(built_through)``, so a reloaded ledger
+    whose blocks are decoded on first read grows from its decoded last
+    block.
     """
 
     def __init__(self, K, p: int = DEFAULT_PRECISION, *,
@@ -201,10 +204,10 @@ class OmegaKLedger:
         if n <= self.built_through:
             return
         with self._grow_lock:
+            prev = self.block(self.built_through)
             while self.built_through < n:
-                self._blocks.append(
-                    advance_omega_k(self._blocks[-1], self.K, self.p)
-                )
+                prev = advance_omega_k(prev, self.K, self.p)
+                self._blocks.append(prev)
 
     def block(self, n: int) -> OmegaBlock:
         if n < 1:

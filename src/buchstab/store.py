@@ -1,14 +1,25 @@
 """Versioned persistence for Omega_K coefficient ledgers.
 
-An artifact is a single JSON file with a header carrying the format
-version, the artifact kind (``omega-k-ledger``, the only one), the
-parameters that fully determine the payload, and a SHA-256 checksum of
-the canonical payload bytes.  Coefficients are serialized as decimal
-strings that keep all p working digits, so a load/save round trip is
-byte-identical and evaluation after reload produces the same digits as
-before saving.  Format 2 lets each ledger block carry its own number of
-coefficients.  Count tables are not stored: the column recurrence
-rebuilds one faster than a stored copy can be read back.
+An artifact is a text file of one header line and then one line per
+ledger block.  The header is a JSON object carrying the format version,
+the artifact kind (``omega-k-ledger``, the only one), the parameters
+that fully determine the blocks, and ``payload_sha256``, the SHA-256 of
+every byte after the header line.  Block n's line is the JSON array
+``[n,"c0","c1",...]``; its coefficients are decimal strings that keep
+all p working digits, so a load/save round trip is byte-identical and
+evaluation after reload produces the same digits as before saving.
+Each block carries its own number of coefficients.
+
+A load parses the header alone: it checks the format version, the
+digest of the body as stored and the number of block lines, and keeps
+the lines undecoded.  The ledger rebuilt from them decodes block n the
+first time it is read, and checks it then: the line holds index n and
+finite decimal strings, at most one more than the line before.  So a
+command decodes only the blocks it evaluates, while a byte changed
+anywhere in the file still fails the digest.
+
+Count tables are not stored: the column recurrence rebuilds one faster
+than a stored copy can be read back.
 """
 
 from __future__ import annotations
@@ -37,9 +48,13 @@ __all__ = [
     "cached_ledger",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 KIND_OMEGA_K = "omega-k-ledger"
+
+# File name prefixes of the package's cache entries: the current kind,
+# and the kinds earlier versions wrote, which ``cache clear`` removes too.
+_ENTRY_PREFIXES = (f"{KIND_OMEGA_K}-", "omega-ledger-", "count-table-")
 
 
 class StoreError(Exception):
@@ -61,19 +76,12 @@ def _canonical_bytes(obj: Any) -> bytes:
 
 
 class StoredArtifact(NamedTuple):
+    """An artifact's kind, its parameters and its payload, the block
+    lines (block n on line n - 1, without the newline), undecoded."""
+
     kind: str
     params: Dict[str, Any]
-    payload: Dict[str, Any]
-
-    def header(self) -> Dict[str, Any]:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "params": self.params,
-            "payload_sha256": hashlib.sha256(
-                _canonical_bytes(self.payload)
-            ).hexdigest(),
-        }
+    payload: List[str]
 
 
 def _coefficients(raw: Any, where: str) -> Tuple[Decimal, ...]:
@@ -89,32 +97,53 @@ def _coefficients(raw: Any, where: str) -> Tuple[Decimal, ...]:
     return coeffs
 
 
-def _blocks_from_payload(art: StoredArtifact) -> List[OmegaBlock]:
-    """[None, block 1, ..., block n_star], checked against the header.
+def _block_line(block: OmegaBlock) -> str:
+    # a decimal string holds no character that JSON escapes
+    return '[%d,"%s"]' % (block.n, '","'.join(map(str, block.coeffs)))
 
-    Every block is non-empty, and an advanced block (n >= 3) is at most
-    one coefficient longer than the block before, its natural length."""
-    n_star = int(art.params["n_star"])
-    try:
-        records = art.payload["blocks"]
-        indices = [int(rec["n"]) for rec in records]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptArtifactError(
-            f"{art.kind} payload does not hold numbered block records"
-        ) from exc
-    if indices != list(range(1, n_star + 1)):
-        raise CorruptArtifactError(
-            f"{art.kind} block indices are not 1..{n_star}"
-        )
-    blocks = [None]
-    for n, rec in zip(indices, records):
-        coeffs = _coefficients(rec.get("coeffs"), f"{art.kind} block {n}")
-        if not coeffs or (n >= 3 and len(coeffs) > len(blocks[-1].coeffs) + 1):
+
+class _StoredLedger(OmegaKLedger):
+    """A ledger read from an artifact: block n is decoded from its line
+    on first read, checked, and kept.  Threads that read one block at
+    once may each decode it; they get equal blocks."""
+
+    def __init__(self, art: StoredArtifact, max_interval: int):
+        super().__init__(art.params["K"], int(art.params["p"]),
+                         max_interval=max_interval)
+        self._lines = art.payload
+        self._blocks = [None] * (len(art.payload) + 1)  # type: ignore[list-item]
+
+    def block(self, n: int) -> OmegaBlock:
+        block = super().block(n)
+        if block is None:
+            block = self._blocks[n] = self._decode(n)
+        return block
+
+    def _record(self, n: int) -> list:
+        """Block n's line, parsed: [n, c0, c1, ...]."""
+        try:
+            rec = json.loads(self._lines[n - 1])
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
+            rec = None
+        if type(rec) is not list or not rec or type(rec[0]) is not int or rec[0] != n:
+            raise CorruptArtifactError(f"{KIND_OMEGA_K} line {n} does not "
+                                       f"hold block {n}")
+        return rec
+
+    def _decode(self, n: int) -> OmegaBlock:
+        """Block n, non-empty and, if advanced (n >= 3), at most one
+        coefficient longer than the block before, its natural length."""
+        coeffs = _coefficients(self._record(n)[1:], f"{KIND_OMEGA_K} block {n}")
+        if not coeffs or (n >= 3 and len(coeffs) > self._length(n - 1) + 1):
             raise CorruptArtifactError(
-                f"{art.kind} block {n} holds {len(coeffs)} coefficients"
+                f"{KIND_OMEGA_K} block {n} holds {len(coeffs)} coefficients"
             )
-        blocks.append(OmegaBlock(n, coeffs))
-    return blocks  # type: ignore[return-value]
+        return OmegaBlock(n, coeffs)
+
+    def _length(self, n: int) -> int:
+        """How many coefficients block n holds, read without decoding them."""
+        block = self._blocks[n]
+        return len(block.coeffs) if block is not None else len(self._record(n)) - 1
 
 
 def _ledger_params(n_star: int, p: int, K: Decimal) -> Dict[str, Any]:
@@ -123,55 +152,59 @@ def _ledger_params(n_star: int, p: int, K: Decimal) -> Dict[str, Any]:
 
 
 def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
-    blocks = [
-        {"n": b.n, "coeffs": [str(c) for c in b.coeffs]}
-        for b in ledger._blocks[1:]
-    ]
+    n_star = ledger.built_through
     return StoredArtifact(
         KIND_OMEGA_K,
-        _ledger_params(ledger.built_through, ledger.p, ledger.K),
-        {"blocks": blocks},
+        _ledger_params(n_star, ledger.p, ledger.K),
+        [_block_line(ledger.block(n)) for n in range(1, n_star + 1)],
     )
 
 
 def omega_k_ledger_from_artifact(art: StoredArtifact, *,
                                  max_interval: Optional[int] = None
                                  ) -> OmegaKLedger:
-    """Rebuild the ledger; it keeps growing on demand up to ``max_interval``,
-    by default the stored n_star, so that a reloaded omega ledger keeps
-    the n* that ``moment_constant`` reads from it."""
+    """The stored ledger, each block decoded on its first read; it keeps
+    growing on demand up to ``max_interval``, by default the stored
+    n_star, so that a reloaded omega ledger keeps the n* that
+    ``moment_constant`` reads from it."""
     if art.kind != KIND_OMEGA_K:
         raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {art.kind}")
-    blocks = _blocks_from_payload(art)
-    ledger = OmegaKLedger(art.params["K"], int(art.params["p"]),
-                          max_interval=max_interval or len(blocks) - 1)
-    ledger._blocks = blocks
-    return ledger
+    return _StoredLedger(art, max_interval or len(art.payload))
 
 
 def save_artifact(art: StoredArtifact, path) -> None:
     """Write the artifact; the byte stream is canonical and reproducible."""
-    doc = {"header": art.header(), "payload": art.payload}
-    data = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    body = "".join(line + "\n" for line in art.payload).encode("ascii")
+    header = {
+        "format_version": FORMAT_VERSION,
+        "kind": art.kind,
+        "params": art.params,
+        "payload_sha256": hashlib.sha256(body).hexdigest(),
+    }
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(data)
+        with open(path, "wb") as fh:
+            fh.write(_canonical_bytes(header) + b"\n" + body)
     except OSError as exc:
         raise StoreError(f"cannot write artifact {path}: {exc}") from exc
 
 
 def load_artifact(path) -> StoredArtifact:
+    """The artifact at ``path``, its block lines checked against the
+    header's digest and n_star but not decoded."""
     try:
-        with open(path, encoding="ascii") as fh:
-            doc = json.loads(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise StoreError(f"cannot read artifact {path}: {exc}") from exc
-    except ValueError as exc:  # not ASCII, or not JSON
-        raise CorruptArtifactError(f"artifact {path} is not ASCII JSON: {exc}") from exc
     try:
-        header = doc["header"]
-        payload = doc["payload"]
+        head, _, body = data.decode("ascii").partition("\n")
+        header = json.loads(head)
+    except (ValueError, RecursionError) as exc:  # not ASCII, or not JSON
+        raise CorruptArtifactError(f"artifact {path} is not ASCII JSON: {exc}") from exc
+    if type(header) is dict and "header" in header:  # formats 1 and 2: one document
+        header = header["header"]
+    try:
         version = header["format_version"]
         kind = header["kind"]
         params = header["params"]
@@ -183,13 +216,19 @@ def load_artifact(path) -> StoredArtifact:
             f"artifact {path} has format version {version}, "
             f"supported: {FORMAT_VERSION}"
         )
-    actual = hashlib.sha256(_canonical_bytes(payload)).hexdigest()
+    actual = hashlib.sha256(memoryview(data)[len(head) + 1:]).hexdigest()
     if actual != checksum:
         raise CorruptArtifactError(
             f"artifact {path} payload checksum mismatch "
             f"(header {str(checksum)[:12]}.., payload {actual[:12]}..)"
         )
-    return StoredArtifact(kind, params, payload)
+    lines = body.split("\n")
+    if lines.pop() != "" or type(params) is not dict \
+            or len(lines) != params.get("n_star"):
+        raise CorruptArtifactError(
+            f"artifact {path} holds {len(lines)} block lines, not n_star"
+        )
+    return StoredArtifact(kind, params, lines)
 
 
 class ArtifactCache:
@@ -247,11 +286,12 @@ class ArtifactCache:
         return path
 
     def entries(self) -> List[str]:
-        """File names of the cached artifacts, sorted."""
+        """File names of the package's cache entries, sorted; other files
+        in the directory are not listed."""
         if not os.path.isdir(self.directory):
             return []
         return sorted(name for name in os.listdir(self.directory)
-                      if name.endswith(".json"))
+                      if name.startswith(_ENTRY_PREFIXES) and name.endswith(".json"))
 
     def clear(self) -> int:
         removed = 0

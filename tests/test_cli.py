@@ -1,5 +1,5 @@
-import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 
 from buchstab.cli import format_rational, format_real, main
 from buchstab.store import (
-    StoredArtifact,
     load_artifact,
     omega_k_ledger_from_artifact,
     save_artifact,
@@ -33,6 +32,21 @@ def run_proc(*argv):
         capture_output=True, text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def set_first_coefficient(path, n, value):
+    """Set block n's first coefficient in the artifact at ``path`` to
+    ``value`` and write the file again, checksummed to match."""
+    art = load_artifact(path)
+    lines = list(art.payload)
+    record = json.loads(lines[n - 1])
+    record[1] = value
+    lines[n - 1] = json.dumps(record, separators=(",", ":"))
+    save_artifact(art._replace(payload=lines), path)
 
 
 def parse_csv(text):
@@ -150,6 +164,23 @@ def test_cache_round_trip(capsys, tmp_path):
     assert cleared == "removed=1\n"
 
 
+def test_cache_clear_keeps_files_that_are_not_entries(capsys, tmp_path):
+    # a user's settings.json is neither listed nor removed; an entry of a
+    # kind an earlier version wrote is both
+    cache_dir = tmp_path / "cache"
+    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "5.5",
+                   "--cache-dir", str(cache_dir))[0] == 0
+    [entry] = cache_dir.glob("*.json")
+    (cache_dir / "settings.json").write_text("{}\n")
+    (cache_dir / "omega-ledger-0123456789abcdef01234567.json").write_text("{}\n")
+    code, listing = run_cli(capsys, "cache", "list", "--cache-dir", str(cache_dir))
+    assert (code, listing) == (
+        0, f"{entry.name}\nomega-ledger-0123456789abcdef01234567.json\n")
+    assert run_cli(capsys, "cache", "clear", "--cache-dir", str(cache_dir)) == (
+        0, "removed=2\n")
+    assert sorted(p.name for p in cache_dir.glob("*.json")) == ["settings.json"]
+
+
 def test_omega_k_first_interval_served_from_cache(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     args = ("omega-k", "--k", "1", "--x", "1.5", "--cache-dir", str(cache_dir))
@@ -195,12 +226,24 @@ def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
     code, first = run_cli(capsys, *args)
     assert code == 0
     [entry] = list(cache_dir.glob("*.json"))
-    art = load_artifact(entry)
-    payload = copy.deepcopy(art.payload)
-    payload["blocks"][4]["coeffs"][0] = "NaN"
-    save_artifact(StoredArtifact(art.kind, art.params, payload), entry)
+    set_first_coefficient(entry, 5, "NaN")  # block 5 is the one x = 5.5 reads
     code, out = run_cli(capsys, *args)
     assert code == 4 and out == ""
+
+
+def test_tampered_block_fails_only_where_read(capsys, tmp_path):
+    # a re-checksummed entry with a NaN in block 3: a query that never
+    # reads block 3 prints the fresh answer, one that reads it exits 4
+    cache_dir = tmp_path / "cache"
+    far = ("omega-k", "--k", "1", "--x", "20.5", "--cache-dir", str(cache_dir))
+    near = ("omega-k-table", "--k", "1", "--x-list", "3.5", "20",
+            "--cache-dir", str(cache_dir))  # the same entry, n* = 20
+    code, fresh = run_cli(capsys, *far)
+    assert code == 0
+    [entry] = cache_dir.glob("*.json")
+    set_first_coefficient(entry, 3, "NaN")
+    assert run_cli(capsys, *far) == (0, fresh)
+    assert run_cli(capsys, *near) == (4, "")
 
 
 def test_corrupt_cache_file_exit_code(capsys, tmp_path):
@@ -231,7 +274,7 @@ def test_corrupt_cache_file_exit_code(capsys, tmp_path):
     check()
     assert outcome(flip(200, 0xFF)) == (4, "")  # not ASCII
     # another format version is a cache miss: the entry is rebuilt
-    version = intact.index(b'"format_version":2') + len(b'"format_version":')
+    version = intact.index(b'"format_version":3') + len(b'"format_version":')
     assert outcome(flip(version, ord("7"))) == (0, fresh)
     assert entry.read_bytes() == intact
 
@@ -373,11 +416,17 @@ def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):
     args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
     assert run_cli(capsys, *args)[0] == 0
     [entry] = cache_dir.glob("omega-k-ledger-*.json")
-    doc = json.loads(entry.read_text())  # as an earlier version wrote it
-    doc["header"]["format_version"] = 1
-    entry.write_text(json.dumps(doc))
-    assert run_cli(capsys, *args) == (0, "3.08803\n")
-    assert json.loads(entry.read_text())["header"]["format_version"] == 2
+    current = entry.read_bytes()
+    assert json.loads(current.splitlines()[0])["format_version"] == 3
+    art = load_artifact(entry)
+    blocks = [{"n": rec[0], "coeffs": rec[1:]} for rec in map(json.loads, art.payload)]
+    for version in (1, 2):  # as those versions wrote it, at the same key path
+        payload = {"blocks": blocks}
+        header = {"format_version": version, "kind": art.kind, "params": art.params,
+                  "payload_sha256": hashlib.sha256(canonical(payload)).hexdigest()}
+        entry.write_bytes(canonical({"header": header, "payload": payload}) + b"\n")
+        assert run_cli(capsys, *args) == (0, "3.08803\n")
+        assert entry.read_bytes() == current
 
 
 def test_usage_error_exit_codes():
@@ -417,7 +466,7 @@ def test_corrupt_cache_file_exit_code_in_a_fresh_process(tmp_path):
     assert code == 0 and fresh == "3.08803\n"
     [entry] = tmp_path.glob("*.json")
     data = entry.read_bytes()
-    at = data.index(b'"coeffs":["', data.index(b'"payload"')) + len(b'"coeffs":["')
+    at = data.index(b'\n[1,"') + len(b'\n[1,"')  # block 1's first coefficient
     flipped = b"2" if data[at:at + 1] != b"2" else b"3"
     entry.write_bytes(data[:at] + flipped + data[at + 1:])
     code, out, err = run_proc(*args)

@@ -1,5 +1,6 @@
-import copy
 import json
+import sys
+import threading
 from decimal import Decimal
 
 import pytest
@@ -14,7 +15,6 @@ from buchstab.omega_k import OmegaKLedger, eval_omega_k
 from buchstab.store import (
     ArtifactCache,
     CorruptArtifactError,
-    StoredArtifact,
     VersionError,
     artifact_from_omega_k_ledger,
     load_artifact,
@@ -80,12 +80,18 @@ def test_omega_k_ledger_round_trip(tmp_path):
         assert other_path.read_bytes() == path.read_bytes()
 
 
+def _rewrite_header(path, key, value):
+    """Set one header field of the artifact at ``path``; the body stays."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+
+
 def test_future_version_rejected(tmp_path):
     path = tmp_path / "omk.json"
     save_artifact(_omega_k_artifact(3), path)
-    doc = json.loads(path.read_text())
-    doc["header"]["format_version"] = 99
-    path.write_text(json.dumps(doc))
+    _rewrite_header(path, "format_version", 99)
     with pytest.raises(VersionError):
         load_artifact(path)
 
@@ -93,9 +99,11 @@ def test_future_version_rejected(tmp_path):
 def test_corrupt_payload_rejected(tmp_path):
     path = tmp_path / "omk.json"
     save_artifact(_omega_k_artifact(3), path)
-    doc = json.loads(path.read_text())
-    doc["payload"]["blocks"][2]["coeffs"][0] = "5"
-    path.write_text(json.dumps(doc))
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[3])  # block 3
+    record[1] = "5"
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptArtifactError):
         load_artifact(path)
 
@@ -113,9 +121,7 @@ def test_non_ascii_artifact_rejected(tmp_path):
 def test_non_string_checksum_rejected(tmp_path):
     path = tmp_path / "omk.json"
     save_artifact(_omega_k_artifact(3), path)
-    doc = json.loads(path.read_text())
-    doc["header"]["payload_sha256"] = 5
-    path.write_text(json.dumps(doc))
+    _rewrite_header(path, "payload_sha256", 5)
     with pytest.raises(CorruptArtifactError, match="checksum mismatch"):
         load_artifact(path)
 
@@ -127,61 +133,74 @@ _DECODERS = {
     "omega_k": (_omega_k_artifact, omega_k_ledger_from_artifact),
 }
 
-
-def _swap(payload):
-    blocks = payload["blocks"]
-    blocks[4], blocks[5] = blocks[5], blocks[4]
+# A tamper edits the parsed block records, [n, "c0", "c1", ...] for
+# blocks 1..n*, in place; each record is written back as one line.
 
 
-def _renumber(payload):
-    payload["blocks"][6]["n"] = 8
+def _swap(records):
+    records[4], records[5] = records[5], records[4]
 
 
-def _set(key, value, block=None):
-    """Set ``key`` of the payload, or of block record ``block``, to ``value``."""
-    def tamper(payload):
-        (payload if block is None else payload["blocks"][block])[key] = value
+def _renumber(records):
+    records[6][0] = 8
+
+
+def _replace_record(index, value):
+    """Record ``index`` replaced by ``value``."""
+    def tamper(records):
+        records[index] = value
     return tamper
 
 
-def _stringify_block(payload):
-    payload["blocks"][3] = "block 4"
+def _set_index(index, value):
+    def tamper(records):
+        records[index][0] = value
+    return tamper
 
 
 def _pad_block(index, extra):
     """Block ``index + 1`` padded to ``extra`` more coefficients than the
     block before it."""
-    def tamper(payload):
-        blocks = payload["blocks"]
-        coeffs = blocks[index]["coeffs"]
-        coeffs += ["0"] * (len(blocks[index - 1]["coeffs"]) + extra - len(coeffs))
+    def tamper(records):
+        record = records[index]
+        record += ["0"] * (len(records[index - 1]) + extra - len(record))
     return tamper
 
 
 def _set_coeff(value):
-    def tamper(payload):
-        payload["blocks"][4]["coeffs"][3] = value
+    def tamper(records):
+        records[4][1 + 3] = value
     return tamper
 
 
+def _clear_coeffs(index):
+    def tamper(records):
+        del records[index][1:]
+    return tamper
+
+
+def _read_every_block(ledger):
+    for n in range(1, ledger.built_through + 1):
+        ledger.block(n)
+
+
 @pytest.mark.parametrize("which, tamper", [
-    pytest.param("omega_k", lambda p: p.pop("blocks"), id="omega_k-no-blocks"),
-    pytest.param("omega_k", _set("blocks", 5), id="omega_k-blocks-not-a-list"),
-    pytest.param("omega_k", _stringify_block, id="omega_k-string-block"),
-    pytest.param("omega_k", _set("n", "abc", block=3), id="omega_k-non-integer-index"),
-    pytest.param("omega_k", lambda p: p["blocks"].pop(0), id="omega_k-no-block-1"),
-    pytest.param("omega_k", lambda p: p["blocks"].pop(5), id="omega_k-gap"),
-    pytest.param("omega_k", lambda p: p["blocks"].pop(), id="omega_k-short"),
+    pytest.param("omega_k", lambda r: r.clear(), id="omega_k-no-blocks"),
+    pytest.param("omega_k", lambda r: r.__setitem__(slice(None), [5]),
+                 id="omega_k-blocks-not-a-list"),
+    pytest.param("omega_k", _replace_record(3, "block 4"), id="omega_k-string-block"),
+    pytest.param("omega_k", _set_index(3, "abc"), id="omega_k-non-integer-index"),
+    pytest.param("omega_k", lambda r: r.pop(0), id="omega_k-no-block-1"),
+    pytest.param("omega_k", lambda r: r.pop(5), id="omega_k-gap"),
+    pytest.param("omega_k", lambda r: r.pop(), id="omega_k-short"),
     pytest.param("omega_k", _swap, id="omega_k-swapped"),
     pytest.param("omega_k", _renumber, id="omega_k-renumbered"),
-    pytest.param("omega_k", lambda p: p["blocks"][4]["coeffs"].clear(),
-                 id="omega_k-short-block"),
+    pytest.param("omega_k", _clear_coeffs(4), id="omega_k-short-block"),
     pytest.param("omega_k", _pad_block(4, 5), id="omega_k-long-block"),
     pytest.param("omega_k", _pad_block(6, 2), id="omega_k-two-longer-block"),
-    pytest.param("omega", lambda p: p["blocks"].pop(3), id="omega-gap"),
+    pytest.param("omega", lambda r: r.pop(3), id="omega-gap"),
     pytest.param("omega", _swap, id="omega-swapped"),
-    pytest.param("omega", lambda p: p["blocks"][2]["coeffs"].clear(),
-                 id="omega-short-block"),
+    pytest.param("omega", _clear_coeffs(2), id="omega-short-block"),
     pytest.param("omega_k", _set_coeff("garbage"), id="omega_k-garbage-coeff"),
     pytest.param("omega_k", _set_coeff("NaN"), id="omega_k-nan-coeff"),
     pytest.param("omega_k", _set_coeff("-Infinity"), id="omega_k-infinite-coeff"),
@@ -189,16 +208,98 @@ def _set_coeff(value):
     pytest.param("omega", _set_coeff("sNaN"), id="omega-snan-coeff"),
 ])
 def test_misshapen_payload_rejected_on_load(tmp_path, which, tamper):
-    # the payload is re-checksummed, so only the shape checks can catch it
+    # the payload is re-checksummed, so only the line count checked on
+    # load and the block checks on first read can catch it
     make, decode = _DECODERS[which]
     art = make()
-    payload = copy.deepcopy(art.payload)
-    tamper(payload)
+    records = [json.loads(line) for line in art.payload]
+    tamper(records)
+    lines = [json.dumps(record, separators=(",", ":")) for record in records]
     path = tmp_path / "tampered.json"
-    save_artifact(StoredArtifact(art.kind, art.params, payload), path)
-    loaded = load_artifact(path)
+    save_artifact(art._replace(payload=lines), path)
     with pytest.raises(CorruptArtifactError):
-        decode(loaded)
+        _read_every_block(decode(load_artifact(path)))
+
+
+def test_deeply_nested_json_is_corrupt(tmp_path):
+    # json.loads raises RecursionError here, which is not a ValueError
+    nested = "[" * 100000 + "]" * 100000
+    art = _omega_k_artifact()
+    path = tmp_path / "omk.json"
+    save_artifact(art._replace(payload=art.payload[:3] + [nested] + art.payload[4:]), path)
+    ledger = omega_k_ledger_from_artifact(load_artifact(path))
+    with pytest.raises(CorruptArtifactError, match="line 4"):
+        ledger.block(4)
+    path.write_text(nested + "\n")
+    with pytest.raises(CorruptArtifactError, match="not ASCII JSON"):
+        load_artifact(path)
+
+
+def test_block_is_decoded_and_checked_on_first_read(tmp_path):
+    # a re-checksummed 20-block artifact with a NaN in block 3: a read
+    # that never touches block 3 gives the fresh digits, one that does fails
+    ledger = OmegaKLedger(1)
+    ledger.ensure(20)
+    art = artifact_from_omega_k_ledger(ledger)
+    lines = list(art.payload)
+    record = json.loads(lines[2])
+    record[1] = "NaN"
+    lines[2] = json.dumps(record, separators=(",", ":"))
+    path = tmp_path / "omk.json"
+    save_artifact(art._replace(payload=lines), path)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
+    with pytest.raises(CorruptArtifactError, match="block 3"):
+        eval_omega_k(reloaded, "3.5")
+
+
+def test_reloaded_ledger_grows_from_its_decoded_last_block(tmp_path):
+    ledger = OmegaKLedger("0.5")
+    ledger.ensure(10)
+    path = tmp_path / "omk.json"
+    save_artifact(artifact_from_omega_k_ledger(ledger), path)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(path), max_interval=40)
+    assert str(eval_omega_k(reloaded, "37.25")) == str(eval_omega_k(ledger, "37.25"))
+    assert reloaded.built_through == 37
+
+
+def test_threads_share_an_undecoded_ledger(tmp_path):
+    ledger = OmegaKLedger("0.5")
+    ledger.ensure(300)
+    path = tmp_path / "omk.json"
+    save_artifact(artifact_from_omega_k_ledger(ledger), path)
+    xs = [f"{n}.5" for n in range(1, 301)]
+    expected = [str(eval_omega_k(ledger, x)) for x in xs]
+    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    results = {}
+
+    def worker(i):
+        results[i] = [str(eval_omega_k(reloaded, x)) for x in xs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [results[i] for i in range(4)] == [expected] * 4
+
+
+@pytest.mark.parametrize("K", ["1", "0.5"])
+def test_full_ledger_round_trip_is_byte_identical(tmp_path, K):
+    ledger = OmegaKLedger(K)
+    ledger.ensure(8192)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_artifact(artifact_from_omega_k_ledger(ledger), p1)
+    reloaded = omega_k_ledger_from_artifact(load_artifact(p1))
+    save_artifact(artifact_from_omega_k_ledger(reloaded), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert len(p1.read_bytes().splitlines()) == 8193
 
 
 def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
