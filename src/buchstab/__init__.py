@@ -36,8 +36,8 @@ _EXPORTS = {
         "seed_block1", "seed_block2", "table_values",
     ),
     "store": (
-        "ArtifactCache", "CorruptArtifactError", "StoredArtifact",
-        "StoreError", "VersionError", "load_artifact", "save_artifact",
+        "ArtifactCache", "CorruptArtifactError", "StoreError",
+        "VersionError", "load_artifact", "save_artifact",
     ),
 }
 

@@ -197,10 +197,10 @@ class OmegaKLedger:
         return len(self._blocks) - 1
 
     def ensure(self, n: int) -> None:
-        if n > self.max_interval:
-            raise LedgerRangeError(
-                f"block {n} beyond the configured ledger limit {self.max_interval}"
-            )
+        # a ledger holds blocks 1 and 2 from the start
+        if n > self.max_interval or self.max_interval < 2:
+            raise LedgerRangeError(f"block {max(n, 2)} beyond the configured "
+                                   f"ledger limit {self.max_interval}")
         if n <= self.built_through:
             return
         with self._grow_lock:

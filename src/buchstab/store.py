@@ -1,22 +1,27 @@
 """Versioned persistence for Omega_K coefficient ledgers.
 
-An artifact is a text file of one header line and then one line per
+A ledger is fixed by K and the working precision p: its blocks form one
+chain, and a longer ledger holds a shorter one's blocks unchanged.  So
+the cache keeps one entry per (K, p), and replaces it with a longer one
+when a command grows the ledger past the blocks it holds.
+
+An entry is a text file of one header line and then one line per
 ledger block.  The header is a JSON object carrying the format version,
-the artifact kind (``omega-k-ledger``, the only one), the parameters
-that fully determine the blocks, and ``payload_sha256``, the SHA-256 of
-every byte after the header line.  Block n's line is the JSON array
-``[n,"c0","c1",...]``; its coefficients are decimal strings that keep
-all p working digits, so a load/save round trip is byte-identical and
-evaluation after reload produces the same digits as before saving.
-Each block carries its own number of coefficients.
+the kind ``omega-k-ledger``, the parameters K, p and n_star (the number
+of blocks), and ``payload_sha256``, the SHA-256 of every byte after the
+header line.  Block n's line is the JSON array ``[n,"c0","c1",...]``;
+its coefficients are decimal strings that keep all p working digits, so
+a load/save round trip is byte-identical and evaluation after reload
+produces the same digits as before saving.  Each block carries its own
+number of coefficients.
 
 A load parses the header alone: it checks the format version, the
 digest of the body as stored and the number of block lines, and keeps
-the lines undecoded.  The ledger rebuilt from them decodes block n the
-first time it is read, and checks it then: the line holds index n and
-finite decimal strings, at most one more than the line before.  So a
-command decodes only the blocks it evaluates, while a byte changed
-anywhere in the file still fails the digest.
+the lines undecoded.  The ledger it returns decodes block n the first
+time it is read, and checks it then: the line holds index n and finite
+decimal strings, at most one more than the line before.  So a command
+decodes only the blocks it evaluates, while a byte changed anywhere in
+the file still fails the digest.
 
 Count tables are not stored: the column recurrence rebuilds one faster
 than a stored copy can be read back.
@@ -28,20 +33,18 @@ import fcntl
 import hashlib
 import json
 import os
+import threading
 from decimal import Decimal, InvalidOperation
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .numerics import as_real
-from .omega_k import LedgerRangeError, OmegaBlock, OmegaKLedger
+from .omega_k import OmegaBlock, OmegaKLedger
 
 __all__ = [
     "FORMAT_VERSION",
     "StoreError",
     "VersionError",
     "CorruptArtifactError",
-    "StoredArtifact",
-    "artifact_from_omega_k_ledger",
-    "omega_k_ledger_from_artifact",
     "save_artifact",
     "load_artifact",
     "ArtifactCache",
@@ -75,15 +78,6 @@ def _canonical_bytes(obj: Any) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-class StoredArtifact(NamedTuple):
-    """An artifact's kind, its parameters and its payload, the block
-    lines (block n on line n - 1, without the newline), undecoded."""
-
-    kind: str
-    params: Dict[str, Any]
-    payload: List[str]
-
-
 def _coefficients(raw: Any, where: str) -> Tuple[Decimal, ...]:
     """Ledger coefficients: decimal strings of finite numbers."""
     try:
@@ -107,11 +101,15 @@ class _StoredLedger(OmegaKLedger):
     on first read, checked, and kept.  Threads that read one block at
     once may each decode it; they get equal blocks."""
 
-    def __init__(self, art: StoredArtifact, max_interval: int):
-        super().__init__(art.params["K"], int(art.params["p"]),
-                         max_interval=max_interval)
-        self._lines = art.payload
-        self._blocks = [None] * (len(art.payload) + 1)  # type: ignore[list-item]
+    def __init__(self, K, p: int, lines: List[bytes], max_interval: int):
+        # not OmegaKLedger.__init__, which computes the seed blocks: the
+        # stored lines hold them.  Line 0 is the header, block n line n.
+        self.K = as_real(K, p)
+        self.p = p
+        self.max_interval = max_interval
+        self._grow_lock = threading.Lock()
+        self._lines = lines
+        self._blocks = [None] * (len(lines) - 1)  # type: ignore[list-item]
 
     def block(self, n: int) -> OmegaBlock:
         block = super().block(n)
@@ -122,7 +120,7 @@ class _StoredLedger(OmegaKLedger):
     def _record(self, n: int) -> list:
         """Block n's line, parsed: [n, c0, c1, ...]."""
         try:
-            rec = json.loads(self._lines[n - 1])
+            rec = json.loads(self._lines[n])
         except (ValueError, RecursionError):  # not JSON, or nested too deep
             rec = None
         if type(rec) is not list or not rec or type(rec[0]) is not int or rec[0] != n:
@@ -146,39 +144,16 @@ class _StoredLedger(OmegaKLedger):
         return len(block.coeffs) if block is not None else len(self._record(n)) - 1
 
 
-def _ledger_params(n_star: int, p: int, K: Decimal) -> Dict[str, Any]:
-    """The parameters that key a ledger artifact and head its file."""
-    return {"n_star": n_star, "p": p, "K": str(K)}
-
-
-def artifact_from_omega_k_ledger(ledger: OmegaKLedger) -> StoredArtifact:
+def save_artifact(ledger: OmegaKLedger, path) -> None:
+    """Write the ledger's built blocks; the byte stream is canonical and
+    reproducible."""
     n_star = ledger.built_through
-    return StoredArtifact(
-        KIND_OMEGA_K,
-        _ledger_params(n_star, ledger.p, ledger.K),
-        [_block_line(ledger.block(n)) for n in range(1, n_star + 1)],
-    )
-
-
-def omega_k_ledger_from_artifact(art: StoredArtifact, *,
-                                 max_interval: Optional[int] = None
-                                 ) -> OmegaKLedger:
-    """The stored ledger, each block decoded on its first read; it keeps
-    growing on demand up to ``max_interval``, by default the stored
-    n_star, so that a reloaded omega ledger keeps the n* that
-    ``moment_constant`` reads from it."""
-    if art.kind != KIND_OMEGA_K:
-        raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {art.kind}")
-    return _StoredLedger(art, max_interval or len(art.payload))
-
-
-def save_artifact(art: StoredArtifact, path) -> None:
-    """Write the artifact; the byte stream is canonical and reproducible."""
-    body = "".join(line + "\n" for line in art.payload).encode("ascii")
+    body = "".join(_block_line(ledger.block(n)) + "\n"
+                   for n in range(1, n_star + 1)).encode("ascii")
     header = {
         "format_version": FORMAT_VERSION,
-        "kind": art.kind,
-        "params": art.params,
+        "kind": KIND_OMEGA_K,
+        "params": {"K": str(ledger.K), "n_star": n_star, "p": ledger.p},
         "payload_sha256": hashlib.sha256(body).hexdigest(),
     }
     try:
@@ -189,17 +164,23 @@ def save_artifact(art: StoredArtifact, path) -> None:
         raise StoreError(f"cannot write artifact {path}: {exc}") from exc
 
 
-def load_artifact(path) -> StoredArtifact:
-    """The artifact at ``path``, its block lines checked against the
-    header's digest and n_star but not decoded."""
+def load_artifact(path, *, max_interval: Optional[int] = None) -> OmegaKLedger:
+    """The ledger stored at ``path``, its block lines checked against the
+    header's digest and n_star but not decoded: each block is decoded on
+    its first read.  It keeps growing on demand up to ``max_interval``,
+    by default the stored n_star, so that a reloaded omega ledger keeps
+    the n* that ``moment_constant`` reads from it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise StoreError(f"cannot read artifact {path}: {exc}") from exc
     try:
-        head, _, body = data.decode("ascii").partition("\n")
-        header = json.loads(head)
+        if not data.isascii():
+            data.decode("ascii")  # raises, naming the first non-ASCII byte
+        # the header on line 0, block n on line n, b"" after the last newline
+        lines = data.split(b"\n")
+        header = json.loads(lines[0])
     except (ValueError, RecursionError) as exc:  # not ASCII, or not JSON
         raise CorruptArtifactError(f"artifact {path} is not ASCII JSON: {exc}") from exc
     if type(header) is dict and "header" in header:  # formats 1 and 2: one document
@@ -216,55 +197,67 @@ def load_artifact(path) -> StoredArtifact:
             f"artifact {path} has format version {version}, "
             f"supported: {FORMAT_VERSION}"
         )
-    actual = hashlib.sha256(memoryview(data)[len(head) + 1:]).hexdigest()
+    actual = hashlib.sha256(memoryview(data)[len(lines[0]) + 1:]).hexdigest()
     if actual != checksum:
         raise CorruptArtifactError(
             f"artifact {path} payload checksum mismatch "
             f"(header {str(checksum)[:12]}.., payload {actual[:12]}..)"
         )
-    lines = body.split("\n")
-    if lines.pop() != "" or type(params) is not dict \
-            or len(lines) != params.get("n_star"):
+    n_star = max(len(lines) - 2, 0)
+    # a ledger holds blocks 1 and 2 from the start
+    if lines[-1] != b"" or type(params) is not dict \
+            or not 2 <= n_star == params.get("n_star"):
         raise CorruptArtifactError(
-            f"artifact {path} holds {len(lines)} block lines, not n_star"
+            f"artifact {path} holds {n_star} block lines, not n_star"
         )
-    return StoredArtifact(kind, params, lines)
+    if kind != KIND_OMEGA_K:
+        raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {kind}")
+    try:
+        return _StoredLedger(params["K"], params["p"], lines,
+                             n_star if max_interval is None else max_interval)
+    except (KeyError, TypeError, ValueError) as exc:  # no K or p, or not numbers
+        raise CorruptArtifactError(f"artifact {path} has bad params: {exc}") from exc
 
 
 class ArtifactCache:
-    """Parameter-keyed cache of ledger artifacts in a directory.
+    """One ledger entry per (K, p) in a directory.
 
     Writers hold an exclusive ``flock`` on ``.lock`` so concurrent
     processes do not interleave writes; the kernel releases it when the
     holder exits or dies, so a killed writer leaves no stale lock.
-    Readers need no lock (files appear atomically via rename).
+    Readers need no lock (files appear atomically via rename).  The last
+    writer wins: a race between two growths may leave the shorter
+    ledger, never a torn one.
     """
 
     def __init__(self, directory):
         self.directory = os.fspath(directory)
 
-    def _key_path(self, params: Dict[str, Any]) -> str:
+    def _key_path(self, K: Decimal, p: int) -> str:
         digest = hashlib.sha256(
-            _canonical_bytes({"kind": KIND_OMEGA_K, "params": params})
+            _canonical_bytes({"kind": KIND_OMEGA_K, "params": {"K": str(K), "p": p}})
         ).hexdigest()[:24]
         return os.path.join(self.directory, f"{KIND_OMEGA_K}-{digest}.json")
 
-    def lookup(self, params: Dict[str, Any]):
-        """The cached artifact, or None on a miss.  An entry written in
-        another format version is a miss, so it is rebuilt and replaced."""
-        path = self._key_path(params)
+    def lookup(self, K, p: int, max_interval: Optional[int] = None
+               ) -> Optional[OmegaKLedger]:
+        """The cached K ledger at precision p, growable to ``max_interval``,
+        or None on a miss.  An entry written in another format version is
+        a miss, so it is rebuilt and replaced."""
+        K = as_real(K, p)
+        path = self._key_path(K, p)
         if not os.path.exists(path):
             return None
         try:
-            art = load_artifact(path)
+            ledger = load_artifact(path, max_interval=max_interval)
         except VersionError:
             return None
-        if art.kind != KIND_OMEGA_K or art.params != params:
+        if (str(ledger.K), ledger.p) != (str(K), p):
             raise CorruptArtifactError(f"cache file {path} does not match its key")
-        return art
+        return ledger
 
-    def store(self, art: StoredArtifact) -> str:
-        path = self._key_path(art.params)
+    def store(self, ledger: OmegaKLedger) -> str:
+        path = self._key_path(ledger.K, ledger.p)
         try:
             os.makedirs(self.directory, exist_ok=True)
         except OSError as exc:
@@ -279,7 +272,7 @@ class ArtifactCache:
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX)
                 tmp = os.path.splitext(path)[0] + ".tmp"
-                save_artifact(art, tmp)
+                save_artifact(ledger, tmp)
                 os.replace(tmp, path)
             except OSError as exc:
                 raise StoreError(f"cannot store artifact {path}: {exc}") from exc
@@ -304,20 +297,15 @@ class ArtifactCache:
 def cached_ledger(cache_dir: Optional[str], K, p: int, n_star: int,
                   limit: int) -> OmegaKLedger:
     """The K ledger at precision p through block n_star, growable to
-    ``limit``: served from ``cache_dir`` on a key match, else built and
-    stored there (no cache when ``cache_dir`` is None)."""
-    n_star = max(n_star, 2)  # a ledger always holds blocks 1 and 2
-    if n_star > limit:  # refuse before reading the cache, as a fresh build would
-        raise LedgerRangeError(
-            f"block {n_star} beyond the configured ledger limit {limit}"
-        )
+    ``limit``: read from the (K, p) entry of ``cache_dir``, else built,
+    and written back there if it grew past that entry (no cache when
+    ``cache_dir`` is None)."""
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    if cache is not None:
-        art = cache.lookup(_ledger_params(n_star, p, as_real(K, p)))
-        if art is not None:
-            return omega_k_ledger_from_artifact(art, max_interval=limit)
-    ledger = OmegaKLedger(K, p, max_interval=limit)
+    ledger = cache.lookup(K, p, limit) if cache is not None else None
+    stored = ledger.built_through if ledger is not None else 0
+    if ledger is None:
+        ledger = OmegaKLedger(K, p, max_interval=limit)
     ledger.ensure(n_star)
-    if cache is not None:
-        cache.store(artifact_from_omega_k_ledger(ledger))
+    if cache is not None and ledger.built_through > stored:
+        cache.store(ledger)
     return ledger

@@ -41,12 +41,7 @@ from buchstab.omega_k import (
     oracle_quadrature,
     proportion_large_smallest,
 )
-from buchstab.store import (
-    artifact_from_omega_k_ledger,
-    load_artifact,
-    omega_k_ledger_from_artifact,
-    save_artifact,
-)
+from buchstab.store import load_artifact, save_artifact
 
 # Reference triangular table for sizes 1..10 (exact integers).
 TABLE_1 = {
@@ -355,9 +350,9 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
     ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
     before = str(eval_omega(ledger, "2.5"))
     p1, p2 = tmp_path / "omega1.json", tmp_path / "omega2.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), p1)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(p1))
-    save_artifact(artifact_from_omega_k_ledger(reloaded), p2)
+    save_artifact(ledger, p1)
+    reloaded = load_artifact(p1)
+    save_artifact(reloaded, p2)
     bit_exact = p1.read_bytes() == p2.read_bytes()
     digits_stable = before == str(eval_omega(reloaded, "2.5"))
 

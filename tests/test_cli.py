@@ -13,11 +13,8 @@ import pytest
 from hypothesis import given, settings
 
 from buchstab.cli import format_rational, format_real, main
-from buchstab.store import (
-    load_artifact,
-    omega_k_ledger_from_artifact,
-    save_artifact,
-)
+from buchstab.omega_k import OmegaKLedger
+from buchstab.store import load_artifact, save_artifact
 
 
 def run_cli(capsys, *argv):
@@ -41,12 +38,13 @@ def canonical(obj):
 def set_first_coefficient(path, n, value):
     """Set block n's first coefficient in the artifact at ``path`` to
     ``value`` and write the file again, checksummed to match."""
-    art = load_artifact(path)
-    lines = list(art.payload)
+    head, *lines = path.read_text().splitlines()
     record = json.loads(lines[n - 1])
     record[1] = value
     lines[n - 1] = json.dumps(record, separators=(",", ":"))
-    save_artifact(art._replace(payload=lines), path)
+    body = "".join(line + "\n" for line in lines).encode("ascii")
+    header = dict(json.loads(head), payload_sha256=hashlib.sha256(body).hexdigest())
+    path.write_bytes(canonical(header) + b"\n" + body)
 
 
 def parse_csv(text):
@@ -219,6 +217,63 @@ def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
             for p in cache_dir.glob("*.json")] == [True]
 
 
+def test_shorter_queries_read_the_longer_entry(capsys, tmp_path):
+    # one entry per K and precision: after omega-k grows it to 600
+    # blocks, the shorter K = 1 commands hit it and leave it as it is
+    cache = ("--cache-dir", str(tmp_path))
+    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "600.5", *cache)[0] == 0
+    [entry] = tmp_path.glob("*.json")
+    os.utime(entry, ns=(10 ** 9, 10 ** 9))
+    stamp = entry.stat()
+    for argv in (("omega-k", "--k", "1", "--x", "3.5"), ("omega", "--x", "2.5"),
+                 ("constant",)):
+        assert run_cli(capsys, *argv, *cache) == run_cli(capsys, *argv), argv
+    assert list(tmp_path.glob("*.json")) == [entry]
+    after = entry.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
+
+
+def test_longer_query_grows_the_entry(capsys, tmp_path):
+    # the grown entry holds what a fresh ledger grown as far holds
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    for x in ("40.5", "300.5"):
+        argv = ("omega-k", "--k", "0.5", "--x", x)
+        assert run_cli(capsys, *argv, *cache) == run_cli(capsys, *argv)
+    [entry] = (tmp_path / "cache").glob("*.json")
+    fresh = OmegaKLedger("0.5")
+    fresh.ensure(300)
+    save_artifact(fresh, tmp_path / "fresh.json")
+    assert entry.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
+    # an entry of 8192 blocks serves omega --max-interval 20 as an
+    # uncached call does: n* = 20 for the constant, and the range check
+    cache = ("--cache-dir", str(tmp_path))
+    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "8192.5", *cache)[0] == 0
+    for argv in (("omega", "--x", "20.5", "--max-interval", "20"),
+                 ("omega", "--x", "25.5", "--max-interval", "20"),
+                 ("constant", "--max-interval", "20")):
+        code = main([*argv, *cache])
+        warm = (code, capsys.readouterr())
+        code = main(list(argv))
+        assert warm == (code, capsys.readouterr()), argv
+    assert load_artifact(next(tmp_path.glob("*.json"))).built_through == 8192
+
+
+def test_ledger_limit_below_two_blocks(capsys, tmp_path):
+    # a ledger holds blocks 1 and 2 from the start, so a limit of 1
+    # refuses even x in [1, 2), with no entry and with one
+    argv = ("omega-k", "--k", "1", "--x", "1.5")
+    cache = ("--cache-dir", str(tmp_path))
+    for args in ((), cache, cache):
+        assert main([*argv, "--max-interval", "1", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block 2 beyond the configured ledger limit 1" in captured.err
+        assert run_cli(capsys, *argv, *args) == (0, "1.00000\n")
+
+
 def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
     # a tampered but re-checksummed artifact must never print a number
     cache_dir = tmp_path / "cache"
@@ -308,11 +363,16 @@ def test_bad_number_exit_code(capsys, argv):
     (("omega-k", "--k", "1", "--x", "5"), "beyond the configured ledger limit 0"),
     (("omega-k-table", "--k", "1", "--x-list", "3"), "beyond the configured ledger limit 0"),
 ])
-def test_zero_max_interval_is_a_usage_error(capsys, argv, message):
-    # 0 is a value, not "unset": it reaches the range checks
-    assert main([*argv, "--max-interval", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and message in captured.err
+def test_zero_max_interval_is_a_usage_error(capsys, tmp_path, argv, message):
+    # 0 is a value, not "unset": it reaches the range checks, with no
+    # cache and on a cache entry that holds the blocks
+    cache = ("--cache-dir", str(tmp_path))
+    assert main([*argv, *cache]) == 0
+    capsys.readouterr()
+    for args in ((), cache):
+        assert main([*argv, "--max-interval", "0", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -418,11 +478,12 @@ def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):
     [entry] = cache_dir.glob("omega-k-ledger-*.json")
     current = entry.read_bytes()
     assert json.loads(current.splitlines()[0])["format_version"] == 3
-    art = load_artifact(entry)
-    blocks = [{"n": rec[0], "coeffs": rec[1:]} for rec in map(json.loads, art.payload)]
+    head, *lines = current.decode("ascii").splitlines()
+    blocks = [{"n": rec[0], "coeffs": rec[1:]} for rec in map(json.loads, lines)]
     for version in (1, 2):  # as those versions wrote it, at the same key path
         payload = {"blocks": blocks}
-        header = {"format_version": version, "kind": art.kind, "params": art.params,
+        header = {"format_version": version, "kind": "omega-k-ledger",
+                  "params": json.loads(head)["params"],
                   "payload_sha256": hashlib.sha256(canonical(payload)).hexdigest()}
         entry.write_bytes(canonical({"header": header, "payload": payload}) + b"\n")
         assert run_cli(capsys, *args) == (0, "3.08803\n")
@@ -480,8 +541,10 @@ def test_empty_x_list_is_a_usage_error():
 
 
 def test_concurrent_writers_share_a_cache_directory(capsys, tmp_path):
-    # four processes, two per key, write one cache directory at once
-    argvs = [("omega-k", "--k", K, "--x", "40.5") for K in ("1", "0.5")] * 2
+    # four processes, two per key, build and grow one cache directory at
+    # once: the last writer wins, and whichever entry is left is whole
+    argvs = [("omega-k", "--k", K, "--x", x)
+             for K in ("1", "0.5") for x in ("40.5", "300.5")]
     expected = {argv: run_cli(capsys, *argv) for argv in argvs}
     procs = [
         subprocess.Popen(
@@ -495,8 +558,12 @@ def test_concurrent_writers_share_a_cache_directory(capsys, tmp_path):
         assert (proc.returncode, out) == expected[argv], err
     entries = sorted(tmp_path.glob("*.json"))
     assert len(entries) == 2
-    assert sorted(str(omega_k_ledger_from_artifact(load_artifact(e)).K)
-                  for e in entries) == ["0.5", "1"]
+    ledgers = [load_artifact(e) for e in entries]
+    assert sorted(str(ledger.K) for ledger in ledgers) == ["0.5", "1"]
+    for ledger in ledgers:
+        assert ledger.built_through in (40, 300)
+        for n in range(1, ledger.built_through + 1):
+            ledger.block(n)
     assert list(tmp_path.glob("*.tmp")) == []
 
 

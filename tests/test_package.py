@@ -91,7 +91,6 @@ RECORDS = [
     ("QuadratureConfig", (50, 30), "max_interval"),
     ("MomentConstant", (2, Decimal(1), Decimal(0), Fraction(3, 4)), "value"),
     ("OmegaBlock", (1, (Decimal(1),)), "coeffs"),
-    ("StoredArtifact", ("omega-k-ledger", {}, {}), "params"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -16,25 +17,36 @@ from buchstab.store import (
     ArtifactCache,
     CorruptArtifactError,
     VersionError,
-    artifact_from_omega_k_ledger,
     load_artifact,
-    omega_k_ledger_from_artifact,
     save_artifact,
 )
 
 
-def _omega_k_artifact(n_star=10):
+def _omega_k_ledger(n_star=10):
     ledger = OmegaKLedger("0.5")
     ledger.ensure(n_star)
-    return artifact_from_omega_k_ledger(ledger)
+    return ledger
+
+
+def _read_entry(path):
+    """The header and the block lines of the artifact at ``path``."""
+    head, *lines = path.read_text().splitlines()
+    return json.loads(head), lines
+
+
+def _write_entry(path, header, lines):
+    """``lines`` under ``header``, its digest set to match them."""
+    body = "".join(line + "\n" for line in lines).encode("ascii")
+    header = dict(header, payload_sha256=hashlib.sha256(body).hexdigest())
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":"))
+                     .encode("ascii") + b"\n" + body)
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    save_artifact(_omega_k_artifact(8), p1)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(p1))
-    save_artifact(artifact_from_omega_k_ledger(reloaded), p2)
+    save_artifact(_omega_k_ledger(8), p1)
+    save_artifact(load_artifact(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -43,8 +55,8 @@ def test_omega_ledger_round_trip(tmp_path):
     ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
     before = str(eval_omega(ledger, "2.5"))
     path = tmp_path / "omega.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), path)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path), max_interval=20)
+    save_artifact(ledger, path)
+    reloaded = load_artifact(path, max_interval=20)
     assert str(eval_omega(reloaded, "2.5")) == before
     assert (reloaded.K, reloaded.p, reloaded.max_interval,
             reloaded.built_through) == (1, 30, 20, 20)
@@ -54,8 +66,8 @@ def test_reloaded_omega_ledger_keeps_moment_constant(tmp_path):
     # without max_interval the reloaded ledger keeps the stored n*
     ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
     path = tmp_path / "omega.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), path)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    save_artifact(ledger, path)
+    reloaded = load_artifact(path)
     assert reloaded.max_interval == 20
     assert moment_constant(reloaded) == moment_constant(ledger)
 
@@ -64,11 +76,10 @@ def test_omega_k_ledger_round_trip(tmp_path):
     ledger = OmegaKLedger("0.5")
     ledger.ensure(30)
     before = str(eval_omega_k(ledger, "17.25"))
-    art = artifact_from_omega_k_ledger(ledger)
-    assert art.params == {"n_star": 30, "p": 30, "K": "0.5"}
     path = tmp_path / "omk.json"
-    save_artifact(art, path)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    save_artifact(ledger, path)
+    assert _read_entry(path)[0]["params"] == {"n_star": 30, "p": 30, "K": "0.5"}
+    reloaded = load_artifact(path)
     assert reloaded.built_through == 30
     assert str(eval_omega_k(reloaded, "17.25")) == before
     # save -> load -> save, and a second build from (K, p), give the same bytes
@@ -76,7 +87,7 @@ def test_omega_k_ledger_round_trip(tmp_path):
     again.ensure(30)
     for other in (reloaded, again):
         other_path = tmp_path / "other.json"
-        save_artifact(artifact_from_omega_k_ledger(other), other_path)
+        save_artifact(other, other_path)
         assert other_path.read_bytes() == path.read_bytes()
 
 
@@ -90,7 +101,7 @@ def _rewrite_header(path, key, value):
 
 def test_future_version_rejected(tmp_path):
     path = tmp_path / "omk.json"
-    save_artifact(_omega_k_artifact(3), path)
+    save_artifact(_omega_k_ledger(3), path)
     _rewrite_header(path, "format_version", 99)
     with pytest.raises(VersionError):
         load_artifact(path)
@@ -98,7 +109,7 @@ def test_future_version_rejected(tmp_path):
 
 def test_corrupt_payload_rejected(tmp_path):
     path = tmp_path / "omk.json"
-    save_artifact(_omega_k_artifact(3), path)
+    save_artifact(_omega_k_ledger(3), path)
     lines = path.read_text().splitlines()
     record = json.loads(lines[3])  # block 3
     record[1] = "5"
@@ -110,7 +121,7 @@ def test_corrupt_payload_rejected(tmp_path):
 
 def test_non_ascii_artifact_rejected(tmp_path):
     path = tmp_path / "omk.json"
-    save_artifact(_omega_k_artifact(3), path)
+    save_artifact(_omega_k_ledger(3), path)
     data = bytearray(path.read_bytes())
     data[200] = 0xFF
     path.write_bytes(bytes(data))
@@ -120,17 +131,15 @@ def test_non_ascii_artifact_rejected(tmp_path):
 
 def test_non_string_checksum_rejected(tmp_path):
     path = tmp_path / "omk.json"
-    save_artifact(_omega_k_artifact(3), path)
+    save_artifact(_omega_k_ledger(3), path)
     _rewrite_header(path, "payload_sha256", 5)
     with pytest.raises(CorruptArtifactError, match="checksum mismatch"):
         load_artifact(path)
 
 
-_DECODERS = {
-    "omega": (lambda: artifact_from_omega_k_ledger(
-        build_omega_ledger(QuadratureConfig(max_interval=8))),
-              omega_k_ledger_from_artifact),
-    "omega_k": (_omega_k_artifact, omega_k_ledger_from_artifact),
+_LEDGERS = {
+    "omega": lambda: build_omega_ledger(QuadratureConfig(max_interval=8)),
+    "omega_k": _omega_k_ledger,
 }
 
 # A tamper edits the parsed block records, [n, "c0", "c1", ...] for
@@ -210,24 +219,25 @@ def _read_every_block(ledger):
 def test_misshapen_payload_rejected_on_load(tmp_path, which, tamper):
     # the payload is re-checksummed, so only the line count checked on
     # load and the block checks on first read can catch it
-    make, decode = _DECODERS[which]
-    art = make()
-    records = [json.loads(line) for line in art.payload]
-    tamper(records)
-    lines = [json.dumps(record, separators=(",", ":")) for record in records]
     path = tmp_path / "tampered.json"
-    save_artifact(art._replace(payload=lines), path)
+    save_artifact(_LEDGERS[which](), path)
+    header, lines = _read_entry(path)
+    records = [json.loads(line) for line in lines]
+    tamper(records)
+    _write_entry(path, header, [json.dumps(record, separators=(",", ":"))
+                                for record in records])
     with pytest.raises(CorruptArtifactError):
-        _read_every_block(decode(load_artifact(path)))
+        _read_every_block(load_artifact(path))
 
 
 def test_deeply_nested_json_is_corrupt(tmp_path):
     # json.loads raises RecursionError here, which is not a ValueError
     nested = "[" * 100000 + "]" * 100000
-    art = _omega_k_artifact()
     path = tmp_path / "omk.json"
-    save_artifact(art._replace(payload=art.payload[:3] + [nested] + art.payload[4:]), path)
-    ledger = omega_k_ledger_from_artifact(load_artifact(path))
+    save_artifact(_omega_k_ledger(), path)
+    header, lines = _read_entry(path)
+    _write_entry(path, header, lines[:3] + [nested] + lines[4:])
+    ledger = load_artifact(path)
     with pytest.raises(CorruptArtifactError, match="line 4"):
         ledger.block(4)
     path.write_text(nested + "\n")
@@ -240,14 +250,14 @@ def test_block_is_decoded_and_checked_on_first_read(tmp_path):
     # that never touches block 3 gives the fresh digits, one that does fails
     ledger = OmegaKLedger(1)
     ledger.ensure(20)
-    art = artifact_from_omega_k_ledger(ledger)
-    lines = list(art.payload)
+    path = tmp_path / "omk.json"
+    save_artifact(ledger, path)
+    header, lines = _read_entry(path)
     record = json.loads(lines[2])
     record[1] = "NaN"
     lines[2] = json.dumps(record, separators=(",", ":"))
-    path = tmp_path / "omk.json"
-    save_artifact(art._replace(payload=lines), path)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    _write_entry(path, header, lines)
+    reloaded = load_artifact(path)
     assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
     with pytest.raises(CorruptArtifactError, match="block 3"):
         eval_omega_k(reloaded, "3.5")
@@ -257,8 +267,8 @@ def test_reloaded_ledger_grows_from_its_decoded_last_block(tmp_path):
     ledger = OmegaKLedger("0.5")
     ledger.ensure(10)
     path = tmp_path / "omk.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), path)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path), max_interval=40)
+    save_artifact(ledger, path)
+    reloaded = load_artifact(path, max_interval=40)
     assert str(eval_omega_k(reloaded, "37.25")) == str(eval_omega_k(ledger, "37.25"))
     assert reloaded.built_through == 37
 
@@ -267,10 +277,10 @@ def test_threads_share_an_undecoded_ledger(tmp_path):
     ledger = OmegaKLedger("0.5")
     ledger.ensure(300)
     path = tmp_path / "omk.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), path)
+    save_artifact(ledger, path)
     xs = [f"{n}.5" for n in range(1, 301)]
     expected = [str(eval_omega_k(ledger, x)) for x in xs]
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path))
+    reloaded = load_artifact(path)
     results = {}
 
     def worker(i):
@@ -295,9 +305,8 @@ def test_full_ledger_round_trip_is_byte_identical(tmp_path, K):
     ledger = OmegaKLedger(K)
     ledger.ensure(8192)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), p1)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(p1))
-    save_artifact(artifact_from_omega_k_ledger(reloaded), p2)
+    save_artifact(ledger, p1)
+    save_artifact(load_artifact(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(p1.read_bytes().splitlines()) == 8193
 
@@ -306,23 +315,41 @@ def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
     ledger = OmegaKLedger(1)
     ledger.ensure(20)
     path = tmp_path / "omk.json"
-    save_artifact(artifact_from_omega_k_ledger(ledger), path)
-    reloaded = omega_k_ledger_from_artifact(load_artifact(path), max_interval=20)
+    save_artifact(ledger, path)
+    reloaded = load_artifact(path, max_interval=20)
     assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
     with pytest.raises(ValueError, match="limit 20"):
         eval_omega_k(reloaded, "21.5")
 
 
+def test_load_computes_no_block(tmp_path, monkeypatch):
+    # the stored lines hold every block, the seeds included
+    ledger = OmegaKLedger(1)
+    ledger.ensure(20)
+    path = tmp_path / "omk.json"
+    save_artifact(ledger, path)
+
+    def refuse(*args):
+        raise AssertionError("a load computed a seed block")
+
+    monkeypatch.setattr("buchstab.omega_k.seed_block2", refuse)
+    reloaded = load_artifact(path)
+    assert [reloaded.block(n) for n in range(1, 21)] == \
+        [ledger.block(n) for n in range(1, 21)]
+
+
 def test_cache_hit_and_miss(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    art = _omega_k_artifact(6)
-    assert cache.lookup(art.params) is None
-    cache.store(art)
-    hit = cache.lookup(art.params)
-    assert hit is not None
-    expected = str(eval_omega_k(omega_k_ledger_from_artifact(art), "5.5"))
-    assert str(eval_omega_k(omega_k_ledger_from_artifact(hit), "5.5")) == expected
-    assert cache.lookup(dict(art.params, n_star=7)) is None
+    ledger = _omega_k_ledger(6)
+    assert cache.lookup("0.5", 30) is None
+    cache.store(ledger)
+    hit = cache.lookup("0.5", 30)
+    assert hit is not None and hit.built_through == 6
+    assert str(eval_omega_k(hit, "5.5")) == str(eval_omega_k(ledger, "5.5"))
+    # one entry per (K, p): another precision or another K misses
+    assert cache.lookup("0.5", 31) is None
+    assert cache.lookup("0.25", 30) is None
+    assert cache.lookup("0.50", 30) is None  # K keys by its Decimal string
 
 
 def test_store_ignores_leftover_lock_file(tmp_path):
@@ -330,16 +357,19 @@ def test_store_ignores_leftover_lock_file(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / ".lock").touch()
-    art = _omega_k_artifact(5)
-    cache.store(art)
-    hit = cache.lookup(art.params)
-    assert hit is not None and hit.payload == art.payload
+    path = cache.store(_omega_k_ledger(5))
+    hit = cache.lookup("0.5", 30)
+    assert hit is not None
+    save_artifact(hit, tmp_path / "again.json")
+    with open(path, "rb") as fh:
+        assert (tmp_path / "again.json").read_bytes() == fh.read()
 
 
 def test_cache_list_and_clear(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
-    cache.store(_omega_k_artifact(4))
-    cache.store(_omega_k_artifact(5))
+    cache.store(_omega_k_ledger(4))
+    cache.store(_omega_k_ledger(5))  # the same (K, p): replaces the first
+    cache.store(OmegaKLedger(1))
     assert len(cache.entries()) == 2
     assert cache.clear() == 2
     assert cache.entries() == []
