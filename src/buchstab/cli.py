@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 from .numerics import (
     DEFAULT_MAX_INTERVAL,
-    DEFAULT_OMEGA_INTERVAL,
     DEFAULT_PRECISION,
     as_real,
     int_str,
@@ -100,15 +99,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         raise OutputError(f"cannot write output {out_path}: {exc}") from exc
 
 
-def _omega_limit(args) -> int:
-    """n* for omega and constant (default 200), validated with the
-    other omega options by QuadratureConfig."""
-    from .omega import QuadratureConfig
-
-    return QuadratureConfig(max_interval=args.max_interval,
-                            precision=args.precision).max_interval
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -168,19 +158,17 @@ def cmd_omega(args) -> int:
     from .store import cached_ledger
 
     x = as_real(args.x, args.precision)
-    n_star = _omega_limit(args)
-    ledger = cached_ledger(args.cache_dir, "1", args.precision, n_star, n_star)
+    ledger = cached_ledger(args.cache_dir, "1", args.precision, int(x))
     value = eval_omega(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_constant(args) -> int:
-    from .omega import moment_constant
+    from .omega import N_STAR, moment_constant
     from .store import cached_ledger
 
-    n_star = _omega_limit(args)
-    ledger = cached_ledger(args.cache_dir, "1", args.precision, n_star, n_star)
+    ledger = cached_ledger(args.cache_dir, "1", args.precision, N_STAR)
     const = moment_constant(ledger, args.moment)
     lines = (
         f"constant={format_real(const.value, args.digits)}\n"
@@ -208,9 +196,8 @@ def cmd_omega_k_table(args) -> int:
     from .store import cached_ledger
 
     xs = [as_real(x, args.precision) for x in (args.x_list or PAPER_TABLE_GRID)]
-    n_star = max(int(x) for x in xs)
-    ledger = cached_ledger(args.cache_dir, args.k, args.precision, n_star,
-                           args.max_interval)
+    ledger = cached_ledger(args.cache_dir, args.k, args.precision,
+                           max(int(x) for x in xs), args.max_interval)
     columns = ["x", "omega_k"]
     rows = [
         [f"{x:f}", format_real(v, args.digits)]
@@ -243,12 +230,9 @@ _CACHE_HELP = {
     "required": "the cache directory",
 }
 
-_N_STAR = (DEFAULT_OMEGA_INTERVAL, "last Taylor block n*; the tail past it is analytic")
-_GROWTH_LIMIT = (DEFAULT_MAX_INTERVAL, "how far the Omega_K ledger may grow")
-
 
 def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
-                 reals: bool = True, max_interval: Optional[tuple] = None,
+                 reals: bool = True, max_interval: bool = False,
                  cache: str = "ledgers") -> None:
     """The output and precision options a subcommand reads."""
     if table:
@@ -263,10 +247,10 @@ def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
         parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                             help=f"working precision in decimal digits "
                                  f"(default {DEFAULT_PRECISION})")
-    if max_interval is not None:
-        default, what = max_interval
-        parser.add_argument("--max-interval", type=int, default=default,
-                            help=f"{what} (default {default})")
+    if max_interval:
+        parser.add_argument("--max-interval", type=int, default=DEFAULT_MAX_INTERVAL,
+                            help=f"how far the Omega_K ledger may grow "
+                                 f"(default {DEFAULT_MAX_INTERVAL})")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         required=cache == "required", help=_CACHE_HELP[cache])
 
@@ -304,26 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="Buchstab function value")
     p.add_argument("--x", required=True)
-    _add_options(p, table=False, max_interval=_N_STAR)
+    _add_options(p, table=False)
     p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("constant", help="moment constant from omega quadrature")
     p.add_argument("--moment", type=int, default=2,
                    help="moment order ell >= 2 (default 2, the variance constant)")
-    _add_options(p, table=False, max_interval=_N_STAR)
+    _add_options(p, table=False)
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("omega-k", help="generalized Buchstab function value")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x", required=True)
-    _add_options(p, table=False, max_interval=_GROWTH_LIMIT)
+    _add_options(p, table=False, max_interval=True)
     p.set_defaults(func=cmd_omega_k)
 
     p = sub.add_parser("omega-k-table", help="Omega_K over the reference grid")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x-list", nargs="+", default=None,
                    help="evaluation points (default: 1..10 and 16..8192)")
-    _add_options(p, max_interval=_GROWTH_LIMIT)
+    _add_options(p, max_interval=True)
     p.set_defaults(func=cmd_omega_k_table)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")

@@ -7,21 +7,25 @@ smallest components (P{X_n >= k} ~ omega(n/k)/k).
 
 x*omega(x) is 1 on [1, 2) and solves the delay equation of the
 generalized Buchstab function at K = 1, so omega(x) = Omega_1(x)/x and
-the package keeps one ledger for both: ``build_omega_ledger`` grows the
-K = 1 ``OmegaKLedger`` of ``omega_k`` through block n*, and
-``eval_omega`` divides its value by x.
+the package keeps one ledger for both: ``eval_omega`` divides the value
+of the K = 1 ``OmegaKLedger`` of ``omega_k`` by x, wherever that ledger
+may grow.
 
 Moment constants ell * integral_1^inf omega(x)/x^ell dx are assembled
 from an exact first-interval integral (for ell = 2 the first interval
 contributes exactly 3/4 to the variance constant C), the Taylor blocks
 on [2, n*) integrated term by term, and the analytic tail
 ell * exp(-gamma) * n*^(1-ell) / (ell-1), whose error is capped by the
-classical |omega(x) - exp(-gamma)| < 1e-4 band for x > 4.  On block n,
-t = n + (1+z)/2 = (1 + r z)/(2r) with r = 1/(2n+1) <= 1/5, so with
-m = ell + 1, omega(t)/t^ell = Omega_1(t)/t^m = (2r)^m P(z) (1 + r z)^-m;
+classical |omega(x) - exp(-gamma)| < 1e-4 band for x > 4.  n* = 200
+(``N_STAR``) is a constant of this quadrature, not of the ledger:
+``build_omega_ledger`` grows the K = 1 ledger through it, and
+``moment_constant`` grows any K = 1 ledger that holds fewer blocks.
+
+On block n, t = n + (1+z)/2 = (1 + r z)/(2r) with r = 1/(2n+1) <= 1/5,
+so with m = ell + 1, omega(t)/t^ell = Omega_1(t)/t^m = (2r)^m P(z) (1 + r z)^-m;
 ``series_over_binomial`` gives that product series (the Omega_K advance
 uses the same kernel with m = 1) and integral_{-1}^{1} z^i dz = 2/(i+1)
-for even i.  Defaults (p=30, n*=200) give
+for even i.  The default precision p = 30 gives
 C = 1.30720779891056809974468019430, 1e-29 from the value of the Laplace
 transform route; the printed error budget, 1e-6, is the tail band; its
 truncation terms are below 1e-29.
@@ -33,13 +37,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import (
-    DEFAULT_OMEGA_INTERVAL,
-    DEFAULT_PRECISION,
-    as_real,
-    context,
-    exp_neg_gamma,
-)
+from .numerics import DEFAULT_PRECISION, as_real, context, exp_neg_gamma
 from .omega_k import (
     LedgerRangeError,
     OmegaKLedger,
@@ -48,6 +46,7 @@ from .omega_k import (
 )
 
 __all__ = [
+    "N_STAR",
     "LedgerRangeError",
     "QuadratureConfig",
     "MomentConstant",
@@ -58,23 +57,19 @@ __all__ = [
 ]
 
 
-class QuadratureConfig(NamedTuple("QuadratureConfig",
-                                   [("max_interval", int), ("precision", int)])):
-    """Truncation and precision parameters for omega work.
+N_STAR = 200  # n*, the last Taylor block of the moment quadrature
 
-    max_interval last Taylor block n* (tail handled analytically)
-    precision    working decimal digits; it also sets each block's length
-    """
+
+class QuadratureConfig(NamedTuple("QuadratureConfig", [("precision", int)])):
+    """Precision of omega work: working decimal digits, which also set
+    each block's length."""
 
     __slots__ = ()
 
-    def __new__(cls, max_interval: int = DEFAULT_OMEGA_INTERVAL,
-                precision: int = DEFAULT_PRECISION):
-        if max_interval < 5:
-            raise ValueError(f"max_interval must be >= 5, got {max_interval}")
+    def __new__(cls, precision: int = DEFAULT_PRECISION):
         if precision < 10:
             raise ValueError(f"precision must be >= 10, got {precision}")
-        return super().__new__(cls, max_interval, precision)
+        return super().__new__(cls, precision)
 
 
 def _require_k1(ledger: OmegaKLedger) -> None:
@@ -84,14 +79,14 @@ def _require_k1(ledger: OmegaKLedger) -> None:
 
 
 def build_omega_ledger(config: QuadratureConfig = QuadratureConfig()) -> OmegaKLedger:
-    """The K = 1 ledger, limited to and grown through block n*."""
-    ledger = OmegaKLedger(1, config.precision, max_interval=config.max_interval)
-    ledger.ensure(config.max_interval)
+    """The K = 1 ledger, grown through block n*."""
+    ledger = OmegaKLedger(1, config.precision)
+    ledger.ensure(N_STAR)
     return ledger
 
 
 def eval_omega(ledger: OmegaKLedger, x) -> Decimal:
-    """omega(x) = Omega_1(x)/x for 1 <= x < n* + 1."""
+    """omega(x) = Omega_1(x)/x for x >= 1 (blocks grown on demand)."""
     _require_k1(ledger)
     xd = as_real(x, ledger.p)
     return context(ledger.p).divide(eval_omega_k(ledger, xd), xd)
@@ -152,7 +147,9 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
                   + sum_{n=2}^{n*-1} integrate_block(n)
                   + exp(-gamma) * n*^(1-ell) / (ell-1) ]          (tail)
 
-    n* is the ledger's limit.  The budget is ell * (per-block Taylor
+    n* = ``N_STAR`` = 200 is a constant of the quadrature: blocks the
+    ledger does not hold yet are grown, so a ledger limited below n*
+    raises LedgerRangeError.  The budget is ell * (per-block Taylor
     truncation, which each block's cut keeps below 10^-p |c_0|, + series
     truncation) plus the 1e-4 tail band scaled by the tail weight.
     """
@@ -160,24 +157,23 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
     if ell < 2:
         raise ValueError(f"moment constant defined for orders >= 2, got {ell}")
     _require_k1(ledger)
-    n_star = ledger.max_interval
     p = ledger.p
     first = Fraction(1) - Fraction(1, 2 ** ell)  # ell * (1 - 2^-ell)/ell
     with localcontext(context(p)):
         eps = Decimal(1).scaleb(-p)
         quad = Decimal(0)
         trunc = Decimal(0)
-        for n in range(2, n_star):
+        for n in range(2, N_STAR):
             quad += integrate_block(ledger, n, ell)
             # the block's cut and integrate_block's series cut, both
             # weighted by 1/t^(ell+1) <= 1/n^(ell+1)
             trunc += (abs(ledger.block(n).coeffs[0]) + 1) * eps / Decimal(n) ** (ell + 1)
         egamma = exp_neg_gamma(min(p, 50))
-        tail = egamma * Decimal(n_star) ** (1 - ell) / Decimal(ell - 1)
+        tail = egamma * Decimal(N_STAR) ** (1 - ell) / Decimal(ell - 1)
         value = Decimal(first.numerator) / Decimal(first.denominator) \
             + Decimal(ell) * (quad + tail)
 
-        tail_band = Decimal("1e-4") * Decimal(n_star) ** (1 - ell) \
+        tail_band = Decimal("1e-4") * Decimal(N_STAR) ** (1 - ell) \
             * Decimal(ell) / Decimal(ell - 1)
         budget = Decimal(ell) * trunc + tail_band
     return MomentConstant(ell, value, budget, first)

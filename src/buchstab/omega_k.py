@@ -175,7 +175,7 @@ class OmegaKLedger:
     Blocks are appended sequentially up to the largest requested x and
     then reused; finished blocks are never mutated.  Growth holds a
     lock, so threads may share a ledger; reads of built blocks take none.
-    Growth starts from ``block(built_through)``, so a reloaded ledger
+    Growth starts from ``_built(built_through)``, so a reloaded ledger
     whose blocks are decoded on first read grows from its decoded last
     block.
     """
@@ -204,7 +204,7 @@ class OmegaKLedger:
         if n <= self.built_through:
             return
         with self._grow_lock:
-            prev = self.block(self.built_through)
+            prev = self._built(self.built_through)
             while self.built_through < n:
                 prev = advance_omega_k(prev, self.K, self.p)
                 self._blocks.append(prev)
@@ -213,6 +213,10 @@ class OmegaKLedger:
         if n < 1:
             raise LedgerRangeError(f"block index must be >= 1, got {n}")
         self.ensure(n)
+        return self._built(n)
+
+    def _built(self, n: int) -> OmegaBlock:
+        """Block n, one of 1..built_through, read without the limit check."""
         return self._blocks[n]
 
 

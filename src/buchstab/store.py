@@ -37,7 +37,7 @@ import threading
 from decimal import Decimal, InvalidOperation
 from typing import Any, List, Optional, Tuple
 
-from .numerics import as_real
+from .numerics import DEFAULT_MAX_INTERVAL, as_real, context
 from .omega_k import OmegaBlock, OmegaKLedger
 
 __all__ = [
@@ -111,8 +111,8 @@ class _StoredLedger(OmegaKLedger):
         self._lines = lines
         self._blocks = [None] * (len(lines) - 1)  # type: ignore[list-item]
 
-    def block(self, n: int) -> OmegaBlock:
-        block = super().block(n)
+    def _built(self, n: int) -> OmegaBlock:
+        block = self._blocks[n]
         if block is None:
             block = self._blocks[n] = self._decode(n)
         return block
@@ -145,10 +145,10 @@ class _StoredLedger(OmegaKLedger):
 
 
 def save_artifact(ledger: OmegaKLedger, path) -> None:
-    """Write the ledger's built blocks; the byte stream is canonical and
-    reproducible."""
+    """Write the ledger's built blocks, whatever its limit; the byte
+    stream is canonical and reproducible."""
     n_star = ledger.built_through
-    body = "".join(_block_line(ledger.block(n)) + "\n"
+    body = "".join(_block_line(ledger._built(n)) + "\n"
                    for n in range(1, n_star + 1)).encode("ascii")
     header = {
         "format_version": FORMAT_VERSION,
@@ -164,12 +164,10 @@ def save_artifact(ledger: OmegaKLedger, path) -> None:
         raise StoreError(f"cannot write artifact {path}: {exc}") from exc
 
 
-def load_artifact(path, *, max_interval: Optional[int] = None) -> OmegaKLedger:
+def load_artifact(path, *, max_interval: int = DEFAULT_MAX_INTERVAL) -> OmegaKLedger:
     """The ledger stored at ``path``, its block lines checked against the
     header's digest and n_star but not decoded: each block is decoded on
-    its first read.  It keeps growing on demand up to ``max_interval``,
-    by default the stored n_star, so that a reloaded omega ledger keeps
-    the n* that ``moment_constant`` reads from it."""
+    its first read.  It keeps growing on demand up to ``max_interval``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -213,8 +211,7 @@ def load_artifact(path, *, max_interval: Optional[int] = None) -> OmegaKLedger:
     if kind != KIND_OMEGA_K:
         raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {kind}")
     try:
-        return _StoredLedger(params["K"], params["p"], lines,
-                             n_star if max_interval is None else max_interval)
+        return _StoredLedger(params["K"], params["p"], lines, max_interval)
     except (KeyError, TypeError, ValueError) as exc:  # no K or p, or not numbers
         raise CorruptArtifactError(f"artifact {path} has bad params: {exc}") from exc
 
@@ -234,12 +231,14 @@ class ArtifactCache:
         self.directory = os.fspath(directory)
 
     def _key_path(self, K: Decimal, p: int) -> str:
+        # K keys by its value: 0.5, 5e-1 and 0.50 share one entry
+        K = str(K.normalize(context(p)))
         digest = hashlib.sha256(
-            _canonical_bytes({"kind": KIND_OMEGA_K, "params": {"K": str(K), "p": p}})
+            _canonical_bytes({"kind": KIND_OMEGA_K, "params": {"K": K, "p": p}})
         ).hexdigest()[:24]
         return os.path.join(self.directory, f"{KIND_OMEGA_K}-{digest}.json")
 
-    def lookup(self, K, p: int, max_interval: Optional[int] = None
+    def lookup(self, K, p: int, max_interval: int = DEFAULT_MAX_INTERVAL
                ) -> Optional[OmegaKLedger]:
         """The cached K ledger at precision p, growable to ``max_interval``,
         or None on a miss.  An entry written in another format version is
@@ -252,7 +251,7 @@ class ArtifactCache:
             ledger = load_artifact(path, max_interval=max_interval)
         except VersionError:
             return None
-        if (str(ledger.K), ledger.p) != (str(K), p):
+        if (ledger.K, ledger.p) != (K, p):
             raise CorruptArtifactError(f"cache file {path} does not match its key")
         return ledger
 
@@ -294,9 +293,9 @@ class ArtifactCache:
         return removed
 
 
-def cached_ledger(cache_dir: Optional[str], K, p: int, n_star: int,
-                  limit: int) -> OmegaKLedger:
-    """The K ledger at precision p through block n_star, growable to
+def cached_ledger(cache_dir: Optional[str], K, p: int, n: int,
+                  limit: int = DEFAULT_MAX_INTERVAL) -> OmegaKLedger:
+    """The K ledger at precision p through block n, growable to
     ``limit``: read from the (K, p) entry of ``cache_dir``, else built,
     and written back there if it grew past that entry (no cache when
     ``cache_dir`` is None)."""
@@ -305,7 +304,7 @@ def cached_ledger(cache_dir: Optional[str], K, p: int, n_star: int,
     stored = ledger.built_through if ledger is not None else 0
     if ledger is None:
         ledger = OmegaKLedger(K, p, max_interval=limit)
-    ledger.ensure(n_star)
+    ledger.ensure(n)
     if cache is not None and ledger.built_through > stored:
         cache.store(ledger)
     return ledger

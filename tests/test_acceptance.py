@@ -113,7 +113,7 @@ def table1000():
 
 @pytest.fixture(scope="module")
 def omega_ledger():
-    return build_omega_ledger(QuadratureConfig())  # p=30 n*=200
+    return build_omega_ledger(QuadratureConfig())  # p=30, through n* = 200
 
 
 @pytest.fixture(scope="module")
@@ -323,8 +323,8 @@ CLI_CASES = [
     ("dist", "--n", "8"),
     ("tail", "--n", "9", "--k", "3"),
     ("variance-series", "--n", "6"),
-    ("omega", "--x", "2.5", "--max-interval", "10"),
-    ("constant", "--max-interval", "20"),
+    ("omega", "--x", "2.5"),
+    ("constant",),
     ("omega-k", "--k", "1", "--x", "5.5"),
     ("omega-k-table", "--k", "0.5", "--x-list", "2", "4", "8"),
     ("cache", "list", "--cache-dir", "__CACHE__"),
@@ -347,7 +347,7 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
             diffs.append(case[0])
 
     # save/load round trips are bit-exact and evaluation digits survive
-    ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
+    ledger = build_omega_ledger(QuadratureConfig())
     before = str(eval_omega(ledger, "2.5"))
     p1, p2 = tmp_path / "omega1.json", tmp_path / "omega2.json"
     save_artifact(ledger, p1)

@@ -91,9 +91,21 @@ def test_variance_series(capsys):
 
 
 def test_omega_value(capsys):
-    code, out = run_cli(capsys, "omega", "--x", "1.5", "--max-interval", "10")
+    code, out = run_cli(capsys, "omega", "--x", "1.5")
     assert code == 0
     assert out == "0.666667\n"
+
+
+def test_omega_reaches_past_the_quadrature_blocks(capsys, tmp_path):
+    # omega --x reads any block the K = 1 ledger reaches, with and
+    # without a cache: omega(x) = Omega_1(x)/x
+    argv = ("omega", "--x", "300.5")
+    assert run_cli(capsys, *argv) == (0, "0.561459\n")
+    for _ in ("cold", "warm"):
+        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, "0.561459\n")
+    code, out = run_cli(capsys, "omega-k", "--k", "1", "--x", "300.5", "--digits", "30")
+    assert code == 0
+    assert format_real(Decimal(out) / Decimal("300.5")) == "0.561459"
 
 
 def test_omega_k_value(capsys):
@@ -114,9 +126,7 @@ def test_omega_k_table_subset(capsys):
 
 
 def test_constant_small_config(capsys):
-    code, out = run_cli(
-        capsys, "constant", "--moment", "2", "--max-interval", "50",
-    )
+    code, out = run_cli(capsys, "constant", "--moment", "2")
     assert code == 0
     lines = dict(line.split("=", 1) for line in out.strip().splitlines())
     assert abs(float(lines["constant"]) - 1.3070) < 2e-3
@@ -208,9 +218,9 @@ def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
 def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     for argv in (("omega-k", "--k", "1", "--x", "20.5"),
-                 ("omega", "--x", "20.5", "--max-interval", "20"),
-                 ("omega", "--x", "3.5", "--max-interval", "20"),
-                 ("constant", "--max-interval", "20")):
+                 ("omega", "--x", "20.5"),
+                 ("omega", "--x", "3.5"),
+                 ("constant",)):
         code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
         assert code == 0 and out, argv
     assert [p.name.startswith("omega-k-ledger-")
@@ -247,13 +257,14 @@ def test_longer_query_grows_the_entry(capsys, tmp_path):
 
 
 def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
-    # an entry of 8192 blocks serves omega --max-interval 20 as an
-    # uncached call does: n* = 20 for the constant, and the range check
+    # an entry of 8192 blocks serves omega and constant as an uncached
+    # call does: values inside the entry, and the ledger's growth limit
     cache = ("--cache-dir", str(tmp_path))
     assert run_cli(capsys, "omega-k", "--k", "1", "--x", "8192.5", *cache)[0] == 0
-    for argv in (("omega", "--x", "20.5", "--max-interval", "20"),
-                 ("omega", "--x", "25.5", "--max-interval", "20"),
-                 ("constant", "--max-interval", "20")):
+    for argv in (("omega", "--x", "20.5"),
+                 ("omega", "--x", "8192.5"),
+                 ("omega", "--x", "16385.5"),
+                 ("constant",)):
         code = main([*argv, *cache])
         warm = (code, capsys.readouterr())
         code = main(list(argv))
@@ -358,8 +369,6 @@ def test_bad_number_exit_code(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("omega", "--x", "5"), "max_interval must be >= 5, got 0"),
-    (("constant",), "max_interval must be >= 5, got 0"),
     (("omega-k", "--k", "1", "--x", "5"), "beyond the configured ledger limit 0"),
     (("omega-k-table", "--k", "1", "--x-list", "3"), "beyond the configured ledger limit 0"),
 ])
@@ -396,8 +405,8 @@ REMOVED_OPTIONS = [
         (("dist", "--n", "3"), ("--digits", "--precision", "--max-interval")),
         (("tail", "--n", "3", "--k", "2"), ("--digits", "--precision", "--max-interval")),
         (("variance-series", "--n", "3"), ("--max-interval",)),
-        (("omega", "--x", "2.5"), ("--format",)),
-        (("constant",), ("--format",)),
+        (("omega", "--x", "2.5"), ("--format", "--max-interval")),
+        (("constant",), ("--format", "--max-interval")),
         (("omega-k", "--k", "1", "--x", "2.5"), ("--format",)),
         (("cache", "list", "--cache-dir", "unused"),
          ("--format", "--digits", "--precision", "--max-interval")),
@@ -455,6 +464,25 @@ def test_warm_call_hits_the_entry_it_stored(capsys, tmp_path, spelling):
     assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
 
 
+def test_spellings_of_k_share_one_entry(capsys, tmp_path):
+    # the cache keys K by its value: three spellings of 1/2 leave one
+    # entry and print the same, cold and warm
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    outs = set()
+    for spelling in ("0.5", "5e-1", "0.50") * 2:
+        outs.add(run_cli(capsys, "omega-k", "--k", spelling, "--x", "300.5", *cache))
+    assert outs == {(0, "14.6445\n")}
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    # each spelling alone writes the same block lines
+    bodies = set()
+    for spelling in ("0.5", "5e-1", "0.50"):
+        own = ("--cache-dir", str(tmp_path / spelling))
+        assert run_cli(capsys, "omega-k", "--k", spelling, "--x", "40.5", *own)[0] == 0
+        [entry] = (tmp_path / spelling).glob("*.json")
+        bodies.add(entry.read_bytes().split(b"\n", 1)[1])
+    assert len(bodies) == 1
+
+
 @pytest.mark.parametrize("digits", ["0", "-3", "31", "100"])
 def test_digits_beyond_precision_is_a_usage_error(capsys, digits):
     # more digits than --precision would print made-up zeros
@@ -495,7 +523,7 @@ def test_usage_error_exit_codes():
     assert code == 2
     code, _, err = run_proc("omega", "--x", "2.5", "--taylor-degree", "40")
     assert code == 2
-    code, _, err = run_proc("omega", "--x", "0.5", "--max-interval", "10")
+    code, _, err = run_proc("omega", "--x", "0.5")
     assert code == 2
     assert "error" in err
 
@@ -592,7 +620,7 @@ def test_count_commands_write_no_cache(capsys, tmp_path, argv):
     ("dist", "--n", "6"),
     ("tail", "--n", "6", "--k", "2"),
     ("variance-series", "--n", "5"),
-    ("omega", "--x", "2.5", "--max-interval", "10"),
+    ("omega", "--x", "2.5"),
     ("omega-k", "--k", "0.5", "--x", "4.5"),
     ("omega-k-table", "--k", "1", "--x-list", "2", "3", "4"),
 ])

@@ -14,7 +14,7 @@ from buchstab.omega import (
     integrate_block,
     moment_constant,
 )
-from buchstab.omega_k import OmegaBlock
+from buchstab.omega_k import OmegaBlock, OmegaKLedger
 
 # Reference values frozen from independent high-precision quadrature of
 # the closed forms (adaptive quadrature over the exact piecewise
@@ -189,8 +189,9 @@ def test_block_eval_out_of_range(ledger):
     with pytest.raises(LedgerRangeError):
         eval_omega(ledger, "0.5")
     with pytest.raises(LedgerRangeError):
-        eval_omega(ledger, 201)
-    eval_omega(ledger, "200.9")  # still inside the last block
+        eval_omega(ledger, 16385)  # past the ledger's growth limit
+    # past n* the ledger grows, like the Omega_1 ledger it is
+    assert abs(eval_omega(ledger, "300.5") - exp_neg_gamma(30)) < Decimal("1e-4")
 
 
 def test_integrate_first_block_closed_form(ledger):
@@ -225,31 +226,30 @@ def test_moment_constant_third_order(ledger):
 
 
 def test_moment_constant_small_truncation():
-    led = build_omega_ledger(QuadratureConfig(max_interval=50))
-    const = moment_constant(led, 2)
-    assert abs(const.value - Decimal("1.3070")) < Decimal("2e-3")
+    # n* = 200 is the quadrature's: a ledger limited below it is refused
+    with pytest.raises(LedgerRangeError, match="limit 50"):
+        moment_constant(OmegaKLedger(1, max_interval=50), 2)
 
 
-def test_grid_convergence():
+def test_grid_convergence(ledger):
     # |trapezoid - integral| <= delta^2/12 max |f''| for f = omega/t^ell,
     # f'' = omega''/t^ell - 2 ell omega'/t^(ell+1) + ell (ell+1) omega/t^(ell+2),
     # bracketed by |omega| <= 0.6, |omega'| <= 0.3, |omega''| <= 0.8 on
     # [2, inf) (omega''(2+) = -3/4 is the largest).
-    led = build_omega_ledger(QuadratureConfig(max_interval=20))
     delta = Decimal(1) / Decimal(2 ** 8)
     for ell in (2, 3):
         for n in range(2, 20):
             dn = Decimal(n)
             f2 = (Decimal("0.8") + 2 * ell * Decimal("0.3") / dn
                   + ell * (ell + 1) * Decimal("0.6") / (dn * dn)) / dn ** ell
-            gap = abs(integrate_block(led, n, ell) - trapezoid_block(led, n, 8, ell))
+            gap = abs(integrate_block(ledger, n, ell) - trapezoid_block(ledger, n, 8, ell))
             assert gap <= delta * delta / 12 * f2, (ell, n)
 
 
 def test_ledger_determinism():
-    a = build_omega_ledger(QuadratureConfig(max_interval=30))
-    b = build_omega_ledger(QuadratureConfig(max_interval=30))
-    for n in range(1, 31):
+    a = build_omega_ledger(QuadratureConfig())
+    b = build_omega_ledger(QuadratureConfig())
+    for n in range(1, 201):
         assert [str(c) for c in a.block(n).coeffs] == [
             str(c) for c in b.block(n).coeffs
         ]
@@ -265,7 +265,5 @@ def test_cli_constant_carries_the_working_precision(capsys, precision):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_interval=4)
     with pytest.raises(ValueError):
         QuadratureConfig(precision=9)

@@ -117,7 +117,7 @@ def test_concurrent_growth_keeps_block_order():
 def test_concurrent_reads_match_sequential_values():
     # a grown ledger is read without a lock: threads that share it must
     # get exactly the values a single thread gets
-    ledger = build_omega_ledger(QuadratureConfig(max_interval=40))
+    ledger = build_omega_ledger(QuadratureConfig())
     rng = random.Random(5)
     xs = [f"{rng.uniform(1, 41):.7f}" for _ in range(60)]
 
@@ -141,7 +141,7 @@ def test_concurrent_reads_match_sequential_values():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert ledger.built_through == 40
+    assert ledger.built_through == 200
     assert results == [[expected] * 5] * 4
 
 

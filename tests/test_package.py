@@ -37,9 +37,9 @@ LAYERS = {"buchstab.counts", "buchstab.omega", "buchstab.omega_k", "buchstab.sto
     (("dist", "--n", "5"), {"buchstab.counts"}),
     (("tail", "--n", "60", "--k", "3"), {"buchstab.counts"}),
     (("variance-series", "--n", "5"), {"buchstab.counts"}),
-    (("omega", "--x", "5.5", "--max-interval", "10"),
+    (("omega", "--x", "5.5"),
      {"buchstab.omega", "buchstab.omega_k", "buchstab.store"}),
-    (("constant", "--max-interval", "10"),
+    (("constant",),
      {"buchstab.omega", "buchstab.omega_k", "buchstab.store"}),
     (("omega-k", "--k", "1", "--x", "5.5"), {"buchstab.omega_k", "buchstab.store"}),
     (("omega-k-table", "--k", "1", "--x-list", "2", "3"),
@@ -53,8 +53,8 @@ def test_a_command_loads_only_the_layers_it_runs(baseline, argv, layers):
 
 
 @pytest.mark.parametrize("argv", [
-    ("omega", "--x", "5.5", "--max-interval", "10"),
-    ("constant", "--max-interval", "10"),
+    ("omega", "--x", "5.5"),
+    ("constant",),
     ("omega-k", "--k", "1", "--x", "5.5"),
     ("omega-k-table", "--k", "1", "--x-list", "2", "3"),
     ("cache", "list"),
@@ -88,7 +88,7 @@ RECORDS = [
     ("ComponentClass", ("permutations", 1), "smallest"),
     ("SmallestDistribution", (1, (Fraction(1),)), "probs"),
     ("MomentReport", (1, Fraction(1), Fraction(1), Fraction(0), Decimal(0)), "variance"),
-    ("QuadratureConfig", (50, 30), "max_interval"),
+    ("QuadratureConfig", (30,), "precision"),
     ("MomentConstant", (2, Decimal(1), Decimal(0), Fraction(3, 4)), "value"),
     ("OmegaBlock", (1, (Decimal(1),)), "coeffs"),
 ]
@@ -106,10 +106,9 @@ def test_records_are_immutable_values(name, args, field):
 
 
 def test_record_defaults_and_validation():
-    assert buchstab.QuadratureConfig() == buchstab.QuadratureConfig(200, 30)
-    assert buchstab.QuadratureConfig(precision=40).max_interval == 200
+    assert buchstab.QuadratureConfig() == buchstab.QuadratureConfig(30)
     with pytest.raises(ValueError):
-        buchstab.QuadratureConfig(max_interval=4)
+        buchstab.QuadratureConfig(precision=9)
     with pytest.raises(ValueError):
         buchstab.ComponentClass("x", 3)
     assert buchstab.DERANGEMENTS.c(1) == 0 and buchstab.DERANGEMENTS.c(4) == 6

@@ -2,16 +2,10 @@ import hashlib
 import json
 import sys
 import threading
-from decimal import Decimal
 
 import pytest
 
-from buchstab.omega import (
-    QuadratureConfig,
-    build_omega_ledger,
-    eval_omega,
-    moment_constant,
-)
+from buchstab.omega import build_omega_ledger, eval_omega, moment_constant
 from buchstab.omega_k import OmegaKLedger, eval_omega_k
 from buchstab.store import (
     ArtifactCache,
@@ -52,24 +46,27 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 def test_omega_ledger_round_trip(tmp_path):
     # omega is served from the K = 1 ledger, stored as an omega-k artifact
-    ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
+    ledger = build_omega_ledger()
     before = str(eval_omega(ledger, "2.5"))
     path = tmp_path / "omega.json"
     save_artifact(ledger, path)
-    reloaded = load_artifact(path, max_interval=20)
+    reloaded = load_artifact(path)
     assert str(eval_omega(reloaded, "2.5")) == before
     assert (reloaded.K, reloaded.p, reloaded.max_interval,
-            reloaded.built_through) == (1, 30, 20, 20)
+            reloaded.built_through) == (1, 30, 16384, 200)
 
 
 def test_reloaded_omega_ledger_keeps_moment_constant(tmp_path):
-    # without max_interval the reloaded ledger keeps the stored n*
-    ledger = build_omega_ledger(QuadratureConfig(max_interval=20))
+    # n* is the quadrature's: a reloaded 20-block ledger grows to the
+    # blocks it integrates (2..n*-1) and gives the constant of a fresh
+    # omega ledger
+    ledger = OmegaKLedger(1)
+    ledger.ensure(20)
     path = tmp_path / "omega.json"
     save_artifact(ledger, path)
     reloaded = load_artifact(path)
-    assert reloaded.max_interval == 20
-    assert moment_constant(reloaded) == moment_constant(ledger)
+    assert moment_constant(reloaded) == moment_constant(build_omega_ledger())
+    assert reloaded.built_through == 199
 
 
 def test_omega_k_ledger_round_trip(tmp_path):
@@ -138,7 +135,7 @@ def test_non_string_checksum_rejected(tmp_path):
 
 
 _LEDGERS = {
-    "omega": lambda: build_omega_ledger(QuadratureConfig(max_interval=8)),
+    "omega": build_omega_ledger,
     "omega_k": _omega_k_ledger,
 }
 
@@ -322,6 +319,16 @@ def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
         eval_omega_k(reloaded, "21.5")
 
 
+def test_loaded_ledger_saves_past_its_limit(tmp_path):
+    # a ledger loaded with a limit below its block count is saved whole
+    ledger = OmegaKLedger("0.5")
+    ledger.ensure(40)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_artifact(ledger, p1)
+    save_artifact(load_artifact(p1, max_interval=20), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_load_computes_no_block(tmp_path, monkeypatch):
     # the stored lines hold every block, the seeds included
     ledger = OmegaKLedger(1)
@@ -349,7 +356,9 @@ def test_cache_hit_and_miss(tmp_path):
     # one entry per (K, p): another precision or another K misses
     assert cache.lookup("0.5", 31) is None
     assert cache.lookup("0.25", 30) is None
-    assert cache.lookup("0.50", 30) is None  # K keys by its Decimal string
+    # K keys by its value, not its spelling
+    assert cache.lookup("0.50", 30).built_through == 6
+    assert cache.lookup("5e-1", 30).built_through == 6
 
 
 def test_store_ignores_leftover_lock_file(tmp_path):
