@@ -28,12 +28,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import (
-    DEFAULT_MAX_INTERVAL,
-    DEFAULT_PRECISION,
-    as_real,
-    int_str,
-)
+from .numerics import DEFAULT_PRECISION, as_real, int_str
 
 # Each command imports the layers it runs when it runs, so a call loads
 # only those.  Errors that carry an ``exit_code`` (MemoryCapError: 3;
@@ -153,11 +148,21 @@ def cmd_variance_series(args) -> int:
     return EXIT_OK
 
 
+def _points(raw: Sequence, p: int) -> list:
+    """The evaluation points as reals, each checked to lie in [1, inf)
+    before a ledger or cache entry is touched."""
+    xs = [as_real(x, p) for x in raw]
+    for x in xs:
+        if x < 1:
+            raise UsageError(f"Omega_K is defined on [1, inf), got {x}")
+    return xs
+
+
 def cmd_omega(args) -> int:
     from .omega import eval_omega
     from .store import cached_ledger
 
-    x = as_real(args.x, args.precision)
+    [x] = _points([args.x], args.precision)
     ledger = cached_ledger(args.cache_dir, "1", args.precision, int(x))
     value = eval_omega(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
@@ -168,6 +173,9 @@ def cmd_constant(args) -> int:
     from .omega import N_STAR, moment_constant
     from .store import cached_ledger
 
+    if args.digits > 50:
+        raise UsageError(f"--digits {args.digits} is above 50, the digits of the "
+                         f"gamma literal GAMMA_50 that the constant's tail uses")
     ledger = cached_ledger(args.cache_dir, "1", args.precision, N_STAR)
     const = moment_constant(ledger, args.moment)
     lines = (
@@ -183,9 +191,8 @@ def cmd_omega_k(args) -> int:
     from .omega_k import eval_omega_k
     from .store import cached_ledger
 
-    x = as_real(args.x, args.precision)
-    ledger = cached_ledger(args.cache_dir, args.k, args.precision, int(x),
-                           args.max_interval)
+    [x] = _points([args.x], args.precision)
+    ledger = cached_ledger(args.cache_dir, args.k, args.precision, int(x))
     value = eval_omega_k(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
@@ -195,9 +202,9 @@ def cmd_omega_k_table(args) -> int:
     from .omega_k import PAPER_TABLE_GRID, table_values
     from .store import cached_ledger
 
-    xs = [as_real(x, args.precision) for x in (args.x_list or PAPER_TABLE_GRID)]
+    xs = _points(args.x_list or PAPER_TABLE_GRID, args.precision)
     ledger = cached_ledger(args.cache_dir, args.k, args.precision,
-                           max(int(x) for x in xs), args.max_interval)
+                           max(int(x) for x in xs))
     columns = ["x", "omega_k"]
     rows = [
         [f"{x:f}", format_real(v, args.digits)]
@@ -232,8 +239,7 @@ _CACHE_HELP = {
 
 
 def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
-                 reals: bool = True, max_interval: bool = False,
-                 cache: str = "ledgers") -> None:
+                 reals: bool = True, cache: str = "ledgers") -> None:
     """The output and precision options a subcommand reads."""
     if table:
         parser.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -247,10 +253,6 @@ def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
         parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                             help=f"working precision in decimal digits "
                                  f"(default {DEFAULT_PRECISION})")
-    if max_interval:
-        parser.add_argument("--max-interval", type=int, default=DEFAULT_MAX_INTERVAL,
-                            help=f"how far the Omega_K ledger may grow "
-                                 f"(default {DEFAULT_MAX_INTERVAL})")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         required=cache == "required", help=_CACHE_HELP[cache])
 
@@ -300,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-k", help="generalized Buchstab function value")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x", required=True)
-    _add_options(p, table=False, max_interval=True)
+    _add_options(p, table=False)
     p.set_defaults(func=cmd_omega_k)
 
     p = sub.add_parser("omega-k-table", help="Omega_K over the reference grid")
     p.add_argument("--k", required=True, help="class parameter K > 0")
     p.add_argument("--x-list", nargs="+", default=None,
                    help="evaluation points (default: 1..10 and 16..8192)")
-    _add_options(p, max_interval=True)
+    _add_options(p)
     p.set_defaults(func=cmd_omega_k_table)
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")

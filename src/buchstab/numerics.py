@@ -22,7 +22,6 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "DEFAULT_MAX_INTERVAL",
     "GAMMA_50",
     "PrecisionError",
     "context",
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 30
-DEFAULT_MAX_INTERVAL = 16384  # how far an Omega_K ledger may grow
 
 # Euler-Mascheroni constant, 50 digits, vetted against standard tables.
 GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"

@@ -47,7 +47,7 @@ import threading
 from decimal import Context, Decimal, localcontext
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .numerics import DEFAULT_MAX_INTERVAL, DEFAULT_PRECISION, as_real, context
+from .numerics import DEFAULT_PRECISION, as_real, context
 
 __all__ = [
     "LedgerRangeError",
@@ -62,7 +62,7 @@ __all__ = [
     "oracle_quadrature",
     "table_values",
     "PAPER_TABLE_GRID",
-    "DEFAULT_MAX_INTERVAL",
+    "MAX_BLOCK",
 ]
 
 # Reference evaluation grid used by the table command: 1..10 and the
@@ -70,6 +70,8 @@ __all__ = [
 PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
     2 ** e for e in range(4, 14)
 )
+
+MAX_BLOCK = 16384  # the last block a ledger grows: a huge x cannot grow it forever
 
 
 class LedgerRangeError(ValueError):
@@ -172,19 +174,17 @@ def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlo
 class OmegaKLedger:
     """Lazily grown chain of Omega_K blocks for one value of K.
 
-    Blocks are appended sequentially up to the largest requested x and
-    then reused; finished blocks are never mutated.  Growth holds a
+    Blocks are appended sequentially up to the largest requested x, at
+    most through block ``MAX_BLOCK``, and then reused; finished blocks are never mutated.  Growth holds a
     lock, so threads may share a ledger; reads of built blocks take none.
     Growth starts from ``_built(built_through)``, so a reloaded ledger
     whose blocks are decoded on first read grows from its decoded last
     block.
     """
 
-    def __init__(self, K, p: int = DEFAULT_PRECISION, *,
-                 max_interval: int = DEFAULT_MAX_INTERVAL):
+    def __init__(self, K, p: int = DEFAULT_PRECISION):
         self.K = as_real(K, p)
         self.p = p
-        self.max_interval = max_interval
         self._grow_lock = threading.Lock()
         self._blocks: List[OmegaBlock] = [
             None,  # type: ignore[list-item]
@@ -197,10 +197,8 @@ class OmegaKLedger:
         return len(self._blocks) - 1
 
     def ensure(self, n: int) -> None:
-        # a ledger holds blocks 1 and 2 from the start
-        if n > self.max_interval or self.max_interval < 2:
-            raise LedgerRangeError(f"block {max(n, 2)} beyond the configured "
-                                   f"ledger limit {self.max_interval}")
+        if n > MAX_BLOCK:
+            raise LedgerRangeError(f"block {n} beyond the ledger limit {MAX_BLOCK}")
         if n <= self.built_through:
             return
         with self._grow_lock:
@@ -216,7 +214,8 @@ class OmegaKLedger:
         return self._built(n)
 
     def _built(self, n: int) -> OmegaBlock:
-        """Block n, one of 1..built_through, read without the limit check."""
+        """Block n, one of 1..built_through, read without growth or the
+        MAX_BLOCK check."""
         return self._blocks[n]
 
 

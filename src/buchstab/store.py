@@ -37,7 +37,7 @@ import threading
 from decimal import Decimal, InvalidOperation
 from typing import Any, List, Optional, Tuple
 
-from .numerics import DEFAULT_MAX_INTERVAL, as_real, context
+from .numerics import as_real, context
 from .omega_k import OmegaBlock, OmegaKLedger
 
 __all__ = [
@@ -101,12 +101,11 @@ class _StoredLedger(OmegaKLedger):
     on first read, checked, and kept.  Threads that read one block at
     once may each decode it; they get equal blocks."""
 
-    def __init__(self, K, p: int, lines: List[bytes], max_interval: int):
+    def __init__(self, K, p: int, lines: List[bytes]):
         # not OmegaKLedger.__init__, which computes the seed blocks: the
         # stored lines hold them.  Line 0 is the header, block n line n.
         self.K = as_real(K, p)
         self.p = p
-        self.max_interval = max_interval
         self._grow_lock = threading.Lock()
         self._lines = lines
         self._blocks = [None] * (len(lines) - 1)  # type: ignore[list-item]
@@ -145,8 +144,8 @@ class _StoredLedger(OmegaKLedger):
 
 
 def save_artifact(ledger: OmegaKLedger, path) -> None:
-    """Write the ledger's built blocks, whatever its limit; the byte
-    stream is canonical and reproducible."""
+    """Write the ledger's built blocks; the byte stream is canonical and
+    reproducible."""
     n_star = ledger.built_through
     body = "".join(_block_line(ledger._built(n)) + "\n"
                    for n in range(1, n_star + 1)).encode("ascii")
@@ -164,10 +163,10 @@ def save_artifact(ledger: OmegaKLedger, path) -> None:
         raise StoreError(f"cannot write artifact {path}: {exc}") from exc
 
 
-def load_artifact(path, *, max_interval: int = DEFAULT_MAX_INTERVAL) -> OmegaKLedger:
+def load_artifact(path) -> OmegaKLedger:
     """The ledger stored at ``path``, its block lines checked against the
     header's digest and n_star but not decoded: each block is decoded on
-    its first read.  It keeps growing on demand up to ``max_interval``."""
+    its first read.  It keeps growing on demand, as a fresh ledger does."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -211,7 +210,7 @@ def load_artifact(path, *, max_interval: int = DEFAULT_MAX_INTERVAL) -> OmegaKLe
     if kind != KIND_OMEGA_K:
         raise StoreError(f"expected an {KIND_OMEGA_K} artifact, got {kind}")
     try:
-        return _StoredLedger(params["K"], params["p"], lines, max_interval)
+        return _StoredLedger(params["K"], params["p"], lines)
     except (KeyError, TypeError, ValueError) as exc:  # no K or p, or not numbers
         raise CorruptArtifactError(f"artifact {path} has bad params: {exc}") from exc
 
@@ -238,17 +237,16 @@ class ArtifactCache:
         ).hexdigest()[:24]
         return os.path.join(self.directory, f"{KIND_OMEGA_K}-{digest}.json")
 
-    def lookup(self, K, p: int, max_interval: int = DEFAULT_MAX_INTERVAL
-               ) -> Optional[OmegaKLedger]:
-        """The cached K ledger at precision p, growable to ``max_interval``,
-        or None on a miss.  An entry written in another format version is
-        a miss, so it is rebuilt and replaced."""
+    def lookup(self, K, p: int) -> Optional[OmegaKLedger]:
+        """The cached K ledger at precision p, or None on a miss.  An entry
+        written in another format version is a miss, so it is rebuilt and
+        replaced."""
         K = as_real(K, p)
         path = self._key_path(K, p)
         if not os.path.exists(path):
             return None
         try:
-            ledger = load_artifact(path, max_interval=max_interval)
+            ledger = load_artifact(path)
         except VersionError:
             return None
         if (ledger.K, ledger.p) != (K, p):
@@ -293,17 +291,15 @@ class ArtifactCache:
         return removed
 
 
-def cached_ledger(cache_dir: Optional[str], K, p: int, n: int,
-                  limit: int = DEFAULT_MAX_INTERVAL) -> OmegaKLedger:
-    """The K ledger at precision p through block n, growable to
-    ``limit``: read from the (K, p) entry of ``cache_dir``, else built,
-    and written back there if it grew past that entry (no cache when
-    ``cache_dir`` is None)."""
+def cached_ledger(cache_dir: Optional[str], K, p: int, n: int) -> OmegaKLedger:
+    """The K ledger at precision p through block n: read from the (K, p)
+    entry of ``cache_dir``, else built, and written back there if it grew
+    past that entry (no cache when ``cache_dir`` is None)."""
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    ledger = cache.lookup(K, p, limit) if cache is not None else None
+    ledger = cache.lookup(K, p) if cache is not None else None
     stored = ledger.built_through if ledger is not None else 0
     if ledger is None:
-        ledger = OmegaKLedger(K, p, max_interval=limit)
+        ledger = OmegaKLedger(K, p)
     ledger.ensure(n)
     if cache is not None and ledger.built_through > stored:
         cache.store(ledger)

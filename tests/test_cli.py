@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from buchstab.cli import format_rational, format_real, main
-from buchstab.omega_k import OmegaKLedger
+from buchstab.omega_k import MAX_BLOCK, OmegaKLedger
 from buchstab.store import load_artifact, save_artifact
 
 
@@ -203,18 +203,6 @@ def test_omega_k_first_interval_served_from_cache(capsys, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
 
 
-def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    unlimited = ("omega-k", "--k", "1", "--x", "60.5", "--cache-dir", cache_dir)
-    limited = unlimited + ("--max-interval", "50")
-    for argv, code, out in ((limited, 2, ""), (unlimited, 0, "33.9683\n"),
-                            (limited, 2, "")):  # the last one on a warm cache
-        assert main(list(argv)) == code
-        captured = capsys.readouterr()
-        assert captured.out == out
-        assert ("limit 50" in captured.err) == (code == 2)
-
-
 def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     for argv in (("omega-k", "--k", "1", "--x", "20.5"),
@@ -257,32 +245,37 @@ def test_longer_query_grows_the_entry(capsys, tmp_path):
 
 
 def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
-    # an entry of 8192 blocks serves omega and constant as an uncached
-    # call does: values inside the entry, and the ledger's growth limit
+    # an entry of 8192 blocks serves omega, constant and omega-k as an
+    # uncached call does: values inside the entry, and the ledger's
+    # growth limit MAX_BLOCK
     cache = ("--cache-dir", str(tmp_path))
     assert run_cli(capsys, "omega-k", "--k", "1", "--x", "8192.5", *cache)[0] == 0
     for argv in (("omega", "--x", "20.5"),
                  ("omega", "--x", "8192.5"),
                  ("omega", "--x", "16385.5"),
+                 ("omega-k", "--k", "1", "--x", "16385.5"),
+                 ("omega-k-table", "--k", "1", "--x-list", "3", "16385.5"),
                  ("constant",)):
         code = main([*argv, *cache])
         warm = (code, capsys.readouterr())
         code = main(list(argv))
         assert warm == (code, capsys.readouterr()), argv
+        assert (code == 2) == ("16385.5" in argv), argv
+        assert (f"limit {MAX_BLOCK}" in warm[1].err) == (code == 2), argv
     assert load_artifact(next(tmp_path.glob("*.json"))).built_through == 8192
 
 
-def test_ledger_limit_below_two_blocks(capsys, tmp_path):
-    # a ledger holds blocks 1 and 2 from the start, so a limit of 1
-    # refuses even x in [1, 2), with no entry and with one
-    argv = ("omega-k", "--k", "1", "--x", "1.5")
-    cache = ("--cache-dir", str(tmp_path))
-    for args in ((), cache, cache):
-        assert main([*argv, "--max-interval", "1", *args]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "block 2 beyond the configured ledger limit 1" in captured.err
-        assert run_cli(capsys, *argv, *args) == (0, "1.00000\n")
+@pytest.mark.parametrize("argv", [
+    ("omega", "--x", "0.5"),
+    ("omega-k", "--k", "0.5", "--x", "-3"),
+    ("omega-k-table", "--k", "1", "--x-list", "0.5", "3"),
+])
+def test_refused_x_leaves_the_cache_empty(capsys, tmp_path, argv):
+    # every x is checked before the cache is read or written
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "defined on [1, inf)" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
@@ -368,22 +361,6 @@ def test_bad_number_exit_code(capsys, argv):
     assert captured.out == "" and "not a finite number" in captured.err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("omega-k", "--k", "1", "--x", "5"), "beyond the configured ledger limit 0"),
-    (("omega-k-table", "--k", "1", "--x-list", "3"), "beyond the configured ledger limit 0"),
-])
-def test_zero_max_interval_is_a_usage_error(capsys, tmp_path, argv, message):
-    # 0 is a value, not "unset": it reaches the range checks, with no
-    # cache and on a cache entry that holds the blocks
-    cache = ("--cache-dir", str(tmp_path))
-    assert main([*argv, *cache]) == 0
-    capsys.readouterr()
-    for args in ((), cache):
-        assert main([*argv, "--max-interval", "0", *args]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
-
-
 @pytest.mark.parametrize("argv", [
     ("variance-series", "--n", "3"),
     ("constant",),
@@ -397,6 +374,18 @@ def test_digits_are_checked_on_every_command_that_prints_reals(capsys, argv):
     assert "--digits 31 is outside 1..--precision 30" in captured.err
 
 
+def test_constant_digits_stop_at_the_gamma_literal(capsys, tmp_path):
+    # the constant's tail uses the 50-digit GAMMA_50, so more digits
+    # would print wrong ones: refused before any ledger is built
+    argv = ("constant", "--precision", "60", "--cache-dir", str(tmp_path))
+    for digits in ("51", "60"):
+        assert main([*argv, "--digits", digits]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "GAMMA_50" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv, "--digits", "50")[0] == 0
+
+
 # the options each subcommand accepted without reading them
 REMOVED_OPTIONS = [
     (base, option)
@@ -407,7 +396,8 @@ REMOVED_OPTIONS = [
         (("variance-series", "--n", "3"), ("--max-interval",)),
         (("omega", "--x", "2.5"), ("--format", "--max-interval")),
         (("constant",), ("--format", "--max-interval")),
-        (("omega-k", "--k", "1", "--x", "2.5"), ("--format",)),
+        (("omega-k", "--k", "1", "--x", "2.5"), ("--format", "--max-interval")),
+        (("omega-k-table", "--k", "1", "--x-list", "3"), ("--max-interval",)),
         (("cache", "list", "--cache-dir", "unused"),
          ("--format", "--digits", "--precision", "--max-interval")),
     ]

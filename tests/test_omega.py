@@ -14,7 +14,7 @@ from buchstab.omega import (
     integrate_block,
     moment_constant,
 )
-from buchstab.omega_k import OmegaBlock, OmegaKLedger
+from buchstab.omega_k import OmegaBlock
 
 # Reference values frozen from independent high-precision quadrature of
 # the closed forms (adaptive quadrature over the exact piecewise
@@ -223,12 +223,6 @@ def test_moment_constant_third_order(ledger):
     const = moment_constant(ledger, 3)
     assert Decimal("1.0") < const.value < Decimal("1.2")
     assert abs(const.value - M3_REFERENCE) < Decimal("1e-27")
-
-
-def test_moment_constant_small_truncation():
-    # n* = 200 is the quadrature's: a ledger limited below it is refused
-    with pytest.raises(LedgerRangeError, match="limit 50"):
-        moment_constant(OmegaKLedger(1, max_interval=50), 2)
 
 
 def test_grid_convergence(ledger):

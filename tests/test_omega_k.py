@@ -8,6 +8,7 @@ import pytest
 from buchstab.numerics import context, exp_neg_gamma
 from buchstab.omega import LedgerRangeError, QuadratureConfig, build_omega_ledger, eval_omega
 from buchstab.omega_k import (
+    MAX_BLOCK,
     OmegaBlock,
     OmegaKLedger,
     advance_omega_k,
@@ -263,9 +264,11 @@ def test_eval_domain(ledger_k1):
 
 
 def test_ledger_limit():
-    lk = OmegaKLedger(1, max_interval=50)
-    with pytest.raises(LedgerRangeError):
-        eval_omega_k(lk, 51)
+    # the bound is checked before any growth
+    lk = OmegaKLedger(1)
+    with pytest.raises(LedgerRangeError, match=f"limit {MAX_BLOCK}"):
+        lk.block(MAX_BLOCK + 1)
+    assert lk.built_through == 2
 
 
 def test_table_values(ledger_k1):

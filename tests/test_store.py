@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from buchstab.omega import build_omega_ledger, eval_omega, moment_constant
-from buchstab.omega_k import OmegaKLedger, eval_omega_k
+from buchstab.omega_k import MAX_BLOCK, OmegaKLedger, eval_omega_k
 from buchstab.store import (
     ArtifactCache,
     CorruptArtifactError,
@@ -52,8 +52,7 @@ def test_omega_ledger_round_trip(tmp_path):
     save_artifact(ledger, path)
     reloaded = load_artifact(path)
     assert str(eval_omega(reloaded, "2.5")) == before
-    assert (reloaded.K, reloaded.p, reloaded.max_interval,
-            reloaded.built_through) == (1, 30, 16384, 200)
+    assert (reloaded.K, reloaded.p, reloaded.built_through) == (1, 30, 200)
 
 
 def test_reloaded_omega_ledger_keeps_moment_constant(tmp_path):
@@ -265,7 +264,7 @@ def test_reloaded_ledger_grows_from_its_decoded_last_block(tmp_path):
     ledger.ensure(10)
     path = tmp_path / "omk.json"
     save_artifact(ledger, path)
-    reloaded = load_artifact(path, max_interval=40)
+    reloaded = load_artifact(path)
     assert str(eval_omega_k(reloaded, "37.25")) == str(eval_omega_k(ledger, "37.25"))
     assert reloaded.built_through == 37
 
@@ -313,20 +312,11 @@ def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
     ledger.ensure(20)
     path = tmp_path / "omk.json"
     save_artifact(ledger, path)
-    reloaded = load_artifact(path, max_interval=20)
+    reloaded = load_artifact(path)
     assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
-    with pytest.raises(ValueError, match="limit 20"):
-        eval_omega_k(reloaded, "21.5")
-
-
-def test_loaded_ledger_saves_past_its_limit(tmp_path):
-    # a ledger loaded with a limit below its block count is saved whole
-    ledger = OmegaKLedger("0.5")
-    ledger.ensure(40)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_artifact(ledger, p1)
-    save_artifact(load_artifact(p1, max_interval=20), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    with pytest.raises(ValueError, match=f"limit {MAX_BLOCK}"):
+        eval_omega_k(reloaded, MAX_BLOCK + 1)
+    assert reloaded.built_through == 20
 
 
 def test_load_computes_no_block(tmp_path, monkeypatch):
