@@ -203,6 +203,19 @@ def test_omega_k_first_interval_served_from_cache(capsys, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
 
 
+def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
+    # the growth limit MAX_BLOCK refuses x past it with no entry and with one
+    cache_dir = str(tmp_path / "cache")
+    inside = ("omega-k", "--k", "1", "--x", "60.5", "--cache-dir", cache_dir)
+    beyond = inside[:4] + (f"{MAX_BLOCK + 1}.5",) + inside[5:]
+    for argv, code, out in ((beyond, 2, ""), (inside, 0, "33.9683\n"),
+                            (beyond, 2, "")):  # the last one on a warm cache
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert (f"limit {MAX_BLOCK}" in captured.err) == (code == 2)
+
+
 def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     for argv in (("omega-k", "--k", "1", "--x", "20.5"),
