@@ -23,8 +23,8 @@ _EXPORTS = {
     "counts": (
         "DERANGEMENTS", "PERMUTATIONS", "ComponentClass", "CountTable",
         "MemoryCapError", "MomentReport", "SmallestDistribution",
-        "brute_force_counts", "build_table", "component_class_by_name",
-        "distribution", "tail_probability", "variance", "variance_series",
+        "build_table", "component_class_by_name", "distribution",
+        "tail_probability", "variance", "variance_series",
     ),
     "omega": (
         "MomentConstant", "QuadratureConfig", "build_omega_ledger",

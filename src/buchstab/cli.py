@@ -13,7 +13,9 @@ Subcommands:
     cache            list or clear the artifact cache
 
 Each subcommand accepts only the options it reads, except that the
-count commands accept ``--cache-dir`` and ignore it.
+count commands accept ``--cache-dir`` and ignore it.  A command that
+prints reals works at ``max(DEFAULT_PRECISION, digits + GUARD_DIGITS)``
+decimal digits, so each of its ``--digits`` printed digits is right.
 
 Every command is a pure function of its arguments (plus any cached
 artifacts): repeated runs emit byte-identical output.  Exit codes:
@@ -37,6 +39,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 DEFAULT_DIGITS = 6
+# The digits a ledger grown to omega_k.MAX_BLOCK loses to rounding, plus
+# one spare: ceil(log10(MAX_BLOCK)) + 1, a literal so that this module
+# does not import omega_k.
+GUARD_DIGITS = 6
 
 
 def format_real(value: Decimal, digits: int = DEFAULT_DIGITS) -> str:
@@ -240,7 +246,7 @@ _CACHE_HELP = {
 
 def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
                  reals: bool = True, cache: str = "ledgers") -> None:
-    """The output and precision options a subcommand reads."""
+    """The output options a subcommand reads."""
     if table:
         parser.add_argument("--format", choices=("csv", "json"), default="csv",
                             help="table output format (default csv)")
@@ -248,11 +254,9 @@ def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
                         help="write output to PATH instead of stdout")
     if reals:
         parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                            help=f"significant digits for real values, at most "
-                                 f"--precision (default {DEFAULT_DIGITS})")
-        parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                            help=f"working precision in decimal digits "
-                                 f"(default {DEFAULT_PRECISION})")
+                            help=f"significant digits for real values, worked "
+                                 f"at max({DEFAULT_PRECISION}, digits + "
+                                 f"{GUARD_DIGITS}) (default {DEFAULT_DIGITS})")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         required=cache == "required", help=_CACHE_HELP[cache])
 
@@ -324,9 +328,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "digits" in args and not 1 <= args.digits <= args.precision:
-            raise UsageError(f"--digits {args.digits} is outside "
-                             f"1..--precision {args.precision}")
+        if "digits" in args:
+            if args.digits < 1:
+                raise UsageError(f"--digits {args.digits} is below 1")
+            args.precision = max(DEFAULT_PRECISION, args.digits + GUARD_DIGITS)
         return args.func(args)
     except Exception as exc:
         code = getattr(exc, "exit_code", None)

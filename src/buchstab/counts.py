@@ -49,14 +49,10 @@ __all__ = [
     "tail_probability",
     "variance",
     "variance_series",
-    "brute_force_counts",
     "estimate_table_bytes",
 ]
 
 MEMORY_CAP = 2 << 30  # 2 GiB
-
-BRUTE_FORCE_LIMIT = 8  # 8! = 40320 permutations, enumerable directly
-
 
 class MemoryCapError(MemoryError):
     """Estimated table size exceeds MEMORY_CAP."""
@@ -276,33 +272,3 @@ def variance_series(table: CountTable, *, p: int = DEFAULT_PRECISION
         rep = variance(table, n, p=p)
         out.append((n, rep.variance, rep.variance_over_n))
     return out
-
-
-def brute_force_counts(n: int) -> List[int]:
-    """Smallest-cycle tallies by direct enumeration of all n! permutations.
-
-    Independent oracle for the recurrence: walks every permutation's
-    cycle structure, never touching the counting formula.
-    """
-    if not 1 <= n <= BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"brute force enumeration limited to 1 <= n <= {BRUTE_FORCE_LIMIT}"
-        )
-    from itertools import permutations as iter_permutations
-
-    tally = [0] * (n + 1)
-    for perm in iter_permutations(range(n)):
-        seen = [False] * n
-        smallest = n + 1
-        for start in range(n):
-            if not seen[start]:
-                length = 0
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length < smallest:
-                    smallest = length
-        tally[smallest] += 1
-    return tally[1:]

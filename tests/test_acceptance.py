@@ -23,7 +23,6 @@ import pytest
 
 from buchstab.counts import (
     PERMUTATIONS,
-    brute_force_counts,
     build_table,
     tail_probability,
     variance,
@@ -42,6 +41,7 @@ from buchstab.omega_k import (
     proportion_large_smallest,
 )
 from buchstab.store import load_artifact, save_artifact
+from oracles import brute_force_counts
 
 # Reference triangular table for sizes 1..10 (exact integers).
 TABLE_1 = {

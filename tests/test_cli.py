@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from buchstab.cli import format_rational, format_real, main
-from buchstab.omega_k import MAX_BLOCK, OmegaKLedger
+from buchstab.cli import GUARD_DIGITS, format_rational, format_real, main
+from buchstab.omega import eval_omega
+from buchstab.omega_k import MAX_BLOCK, OmegaKLedger, eval_omega_k
 from buchstab.store import load_artifact, save_artifact
 
 
@@ -381,16 +383,16 @@ def test_bad_number_exit_code(capsys, argv):
     ("omega-k-table", "--k", "1", "--x-list", "3"),
 ])
 def test_digits_are_checked_on_every_command_that_prints_reals(capsys, argv):
-    assert main([*argv, "--digits", "31"]) == 2
+    assert main([*argv, "--digits", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--digits 31 is outside 1..--precision 30" in captured.err
+    assert "--digits 0 is below 1" in captured.err
 
 
 def test_constant_digits_stop_at_the_gamma_literal(capsys, tmp_path):
     # the constant's tail uses the 50-digit GAMMA_50, so more digits
     # would print wrong ones: refused before any ledger is built
-    argv = ("constant", "--precision", "60", "--cache-dir", str(tmp_path))
+    argv = ("constant", "--cache-dir", str(tmp_path))
     for digits in ("51", "60"):
         assert main([*argv, "--digits", digits]) == 2
         captured = capsys.readouterr()
@@ -399,18 +401,21 @@ def test_constant_digits_stop_at_the_gamma_literal(capsys, tmp_path):
     assert run_cli(capsys, *argv, "--digits", "50")[0] == 0
 
 
-# the options each subcommand accepted without reading them
+# the options each subcommand accepted without reading them, and
+# --precision, which --digits now sets
 REMOVED_OPTIONS = [
     (base, option)
     for base, options in [
         (("counts", "--n", "3"), ("--digits", "--precision", "--max-interval")),
         (("dist", "--n", "3"), ("--digits", "--precision", "--max-interval")),
         (("tail", "--n", "3", "--k", "2"), ("--digits", "--precision", "--max-interval")),
-        (("variance-series", "--n", "3"), ("--max-interval",)),
-        (("omega", "--x", "2.5"), ("--format", "--max-interval")),
-        (("constant",), ("--format", "--max-interval")),
-        (("omega-k", "--k", "1", "--x", "2.5"), ("--format", "--max-interval")),
-        (("omega-k-table", "--k", "1", "--x-list", "3"), ("--max-interval",)),
+        (("variance-series", "--n", "3"), ("--precision", "--max-interval")),
+        (("omega", "--x", "2.5"), ("--format", "--precision", "--max-interval")),
+        (("constant",), ("--format", "--precision", "--max-interval")),
+        (("omega-k", "--k", "1", "--x", "2.5"),
+         ("--format", "--precision", "--max-interval")),
+        (("omega-k-table", "--k", "1", "--x-list", "3"),
+         ("--precision", "--max-interval")),
         (("cache", "list", "--cache-dir", "unused"),
          ("--format", "--digits", "--precision", "--max-interval")),
     ]
@@ -486,20 +491,78 @@ def test_spellings_of_k_share_one_entry(capsys, tmp_path):
     assert len(bodies) == 1
 
 
-@pytest.mark.parametrize("digits", ["0", "-3", "31", "100"])
+@pytest.mark.parametrize("digits", ["0", "-3"])
 def test_digits_beyond_precision_is_a_usage_error(capsys, digits):
-    # more digits than --precision would print made-up zeros
+    # fewer than one digit prints nothing
     assert main(["omega", "--x", "5", "--digits", digits]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"--digits {digits} is outside 1..--precision 30" in captured.err
+    assert f"--digits {digits} is below 1" in captured.err
+
+
+@pytest.mark.parametrize("digits", [31, 100])
+def test_digits_past_the_default_precision_are_printed(capsys, digits):
+    # the working precision follows --digits, so no digit is a made-up zero
+    code, out = run_cli(capsys, "omega", "--x", "5", "--digits", str(digits))
+    assert code == 0 and len(out.strip()) == digits + 2
+    assert out.startswith("0.561454468268456728736324688942")
 
 
 def test_digits_up_to_precision(capsys):
     assert run_cli(capsys, "omega", "--x", "5", "--digits", "30") == (
-        0, "0.561454468268456728736324688944\n")
-    code, out = run_cli(capsys, "omega", "--x", "5", "--digits", "36", "--precision", "36")
+        0, "0.561454468268456728736324688943\n")
+    code, out = run_cli(capsys, "omega", "--x", "5", "--digits", "36")
     assert code == 0 and len(out.strip()) == 38 and out.startswith("0.5614544682684567287363246889")
+
+
+def test_guard_digits_cover_a_ledger_grown_to_its_bound():
+    # a ledger grown through MAX_BLOCK blocks loses about log10(MAX_BLOCK)
+    # digits to rounding; the guard keeps one more
+    assert GUARD_DIGITS == math.ceil(math.log10(MAX_BLOCK)) + 1
+
+
+def assert_within_one_unit(printed, value, digits):
+    """``printed`` is ``value`` rounded to ``digits`` significant digits,
+    give or take one unit in the last place."""
+    want = Decimal(format_real(value, digits))
+    unit = Decimal(1).scaleb(want.adjusted() - digits + 1)
+    assert abs(Decimal(printed) - want) <= unit, (printed, want)
+
+
+@pytest.mark.parametrize("digits", [25, 30, 40])
+@pytest.mark.parametrize("k", ["1", "0.5"])
+def test_every_printed_digit_matches_a_finer_ledger(capsys, k, digits):
+    # each command prints what a ledger with 15 more digits than printed
+    # gives, out to x = 8192, where the p = 30 ledger has lost 4 digits
+    fine = OmegaKLedger(k, digits + 15)
+    flag = ("--digits", str(digits))
+    code, out = run_cli(capsys, "omega-k-table", "--k", k, "--x-list",
+                        "2.5", "10.5", "100.5", "1000.5", "4096", "8192", *flag)
+    assert code == 0
+    for x, printed in parse_csv(out)[1:]:
+        assert_within_one_unit(printed, eval_omega_k(fine, x), digits)
+    code, out = run_cli(capsys, "omega-k", "--k", k, "--x", "8192.5", *flag)
+    assert code == 0
+    assert_within_one_unit(out.strip(), eval_omega_k(fine, "8192.5"), digits)
+    if k == "1":
+        for x in ("2.5", "8192"):
+            code, out = run_cli(capsys, "omega", "--x", x, *flag)
+            assert code == 0
+            assert_within_one_unit(out.strip(), eval_omega(fine, x), digits)
+
+
+def test_omega_1_at_8192_is_8192_exp_neg_gamma(capsys):
+    # past x ~ 20, Omega_1(x) = x e^-gamma to more than 30 digits
+    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "8192", "--digits", "30") == (
+        0, "4599.47608937992331119938121557\n")
+
+
+@pytest.mark.parametrize("digits, p", [(None, 30), ("24", 30), ("30", 36)])
+def test_cache_entry_is_keyed_on_the_working_precision(capsys, tmp_path, digits, p):
+    argv = ["omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(tmp_path)]
+    assert main(argv + (["--digits", digits] if digits else [])) == 0
+    [entry] = tmp_path.glob("*.json")
+    assert json.loads(entry.read_bytes().split(b"\n", 1)[0])["params"]["p"] == p
 
 
 def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):

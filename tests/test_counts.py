@@ -10,7 +10,6 @@ from buchstab.counts import (
     PERMUTATIONS,
     ComponentClass,
     MemoryCapError,
-    brute_force_counts,
     build_table,
     component_class_by_name,
     distribution,
@@ -18,6 +17,7 @@ from buchstab.counts import (
     variance,
     variance_series,
 )
+from oracles import brute_force_counts
 
 
 @pytest.fixture(scope="module")
