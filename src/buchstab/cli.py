@@ -169,21 +169,18 @@ def cmd_omega(args) -> int:
     from .store import cached_ledger
 
     [x] = _points([args.x], args.precision)
-    ledger = cached_ledger(args.cache_dir, "1", args.precision, int(x))
-    value = eval_omega(ledger, x)
+    with cached_ledger(args.cache_dir, "1", args.precision) as ledger:
+        value = eval_omega(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_constant(args) -> int:
-    from .omega import N_STAR, moment_constant
+    from .omega import moment_constant
     from .store import cached_ledger
 
-    if args.digits > 50:
-        raise UsageError(f"--digits {args.digits} is above 50, the digits of the "
-                         f"gamma literal GAMMA_50 that the constant's tail uses")
-    ledger = cached_ledger(args.cache_dir, "1", args.precision, N_STAR)
-    const = moment_constant(ledger, args.moment)
+    with cached_ledger(args.cache_dir, "1", args.precision) as ledger:
+        const = moment_constant(ledger, args.moment)
     lines = (
         f"constant={format_real(const.value, args.digits)}\n"
         f"error_budget={const.error_budget:.3E}\n"
@@ -198,8 +195,8 @@ def cmd_omega_k(args) -> int:
     from .store import cached_ledger
 
     [x] = _points([args.x], args.precision)
-    ledger = cached_ledger(args.cache_dir, args.k, args.precision, int(x))
-    value = eval_omega_k(ledger, x)
+    with cached_ledger(args.cache_dir, args.k, args.precision) as ledger:
+        value = eval_omega_k(ledger, x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
 
@@ -209,13 +206,10 @@ def cmd_omega_k_table(args) -> int:
     from .store import cached_ledger
 
     xs = _points(args.x_list or PAPER_TABLE_GRID, args.precision)
-    ledger = cached_ledger(args.cache_dir, args.k, args.precision,
-                           max(int(x) for x in xs))
+    with cached_ledger(args.cache_dir, args.k, args.precision) as ledger:
+        values = table_values(ledger, xs)
     columns = ["x", "omega_k"]
-    rows = [
-        [f"{x:f}", format_real(v, args.digits)]
-        for x, v in table_values(ledger, xs)
-    ]
+    rows = [[f"{x:f}", format_real(v, args.digits)] for x, v in values]
     _emit(OutputTable(columns, rows).render(args.format), args.out)
     return EXIT_OK
 

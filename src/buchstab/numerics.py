@@ -17,7 +17,7 @@ bit-identical digits.  Relative rounding error per operation is below
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, InvalidOperation, localcontext
+from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 __all__ = [
@@ -60,7 +60,8 @@ def as_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
     """Coerce int/str/Decimal/Fraction/float to Decimal at precision p.
 
     Floats go through repr() so that e.g. 0.1 means the literal "0.1".
-    A str, int or float that is not a finite number raises ValueError.
+    A str, int or float that is not a finite number, or whose exponent
+    overflows the context, raises ValueError.
     """
     if isinstance(x, Decimal):
         return x
@@ -70,7 +71,7 @@ def as_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
         x = repr(x)
     try:
         d = context(p).create_decimal(x)
-    except InvalidOperation:
+    except (InvalidOperation, Overflow):
         d = None
     if d is None or not d.is_finite():
         raise ValueError(f"not a finite number: {x!r}")
@@ -84,17 +85,10 @@ def int_str(n: int) -> str:
 
 
 def exp_neg_gamma(p: int = DEFAULT_PRECISION) -> Decimal:
-    """e**(-gamma) to p digits, from the stored 50-digit gamma literal.
-
-    The literal bounds the usable precision: requests beyond 50 digits
-    are refused rather than silently returning wrong trailing digits.
-    Small p (down to 1) is allowed here; it is a display rounding, not
-    a working precision.
-    """
+    """e**(-gamma) to p digits, 1 <= p <= 50, from the stored 50-digit
+    gamma literal: more digits are refused rather than returned wrong."""
     if p > 50:
-        raise PrecisionError(
-            f"exp_neg_gamma supports at most 50 digits (stored literal), got {p}"
-        )
+        raise PrecisionError(f"exp_neg_gamma supports at most 50 digits, got {p}")
     if p < 1:
         raise PrecisionError(f"precision must be >= 1 digit, got {p}")
     with localcontext(Context(prec=p + 10)):

@@ -224,6 +224,8 @@ def eval_omega_k(ledger: OmegaKLedger, x) -> Decimal:
     xd = as_real(x, ledger.p)
     if xd < 1:
         raise LedgerRangeError(f"Omega_K is defined on [1, inf), got {xd}")
+    if xd >= MAX_BLOCK + 1:  # checked before int(xd), which may be huge
+        raise LedgerRangeError(f"x = {xd} lies past the ledger limit {MAX_BLOCK}")
     n = int(xd)
     block = ledger.block(n)
     ctx = context(ledger.p)

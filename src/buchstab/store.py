@@ -29,13 +29,14 @@ than a stored copy can be read back.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import hashlib
 import json
 import os
 import threading
 from decimal import Decimal, InvalidOperation
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from .numerics import as_real, context
 from .omega_k import OmegaBlock, OmegaKLedger
@@ -278,29 +279,35 @@ class ArtifactCache:
     def entries(self) -> List[str]:
         """File names of the package's cache entries, sorted; other files
         in the directory are not listed."""
-        if not os.path.isdir(self.directory):
-            return []
-        return sorted(name for name in os.listdir(self.directory)
+        try:
+            names = os.listdir(self.directory) if os.path.isdir(self.directory) else []
+        except OSError as exc:
+            raise StoreError(f"cannot list cache directory {self.directory}: {exc}") from exc
+        return sorted(name for name in names
                       if name.startswith(_ENTRY_PREFIXES) and name.endswith(".json"))
 
     def clear(self) -> int:
-        removed = 0
-        for name in self.entries():
-            os.unlink(os.path.join(self.directory, name))
-            removed += 1
-        return removed
+        names = self.entries()
+        for name in names:
+            path = os.path.join(self.directory, name)
+            try:
+                os.unlink(path)
+            except OSError as exc:
+                raise StoreError(f"cannot remove cache entry {path}: {exc}") from exc
+        return len(names)
 
 
-def cached_ledger(cache_dir: Optional[str], K, p: int, n: int) -> OmegaKLedger:
-    """The K ledger at precision p through block n: read from the (K, p)
-    entry of ``cache_dir``, else built, and written back there if it grew
-    past that entry (no cache when ``cache_dir`` is None)."""
+@contextlib.contextmanager
+def cached_ledger(cache_dir: Optional[str], K, p: int) -> Iterator[OmegaKLedger]:
+    """The K ledger at precision p, read from the (K, p) entry of
+    ``cache_dir`` or else fresh, for the caller to grow as far as it
+    reads; on a normal exit it is written back there if it grew past that
+    entry (no cache when ``cache_dir`` is None)."""
     cache = ArtifactCache(cache_dir) if cache_dir else None
     ledger = cache.lookup(K, p) if cache is not None else None
     stored = ledger.built_through if ledger is not None else 0
     if ledger is None:
         ledger = OmegaKLedger(K, p)
-    ledger.ensure(n)
+    yield ledger
     if cache is not None and ledger.built_through > stored:
         cache.store(ledger)
-    return ledger

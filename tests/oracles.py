@@ -1,12 +1,21 @@
-"""Test-side oracles: methods independent of the package's, used only
-to check it.
+"""Test-side oracles: methods independent of the package's, or of the
+part of it under test, used only to check it.
 
 * ``brute_force_counts``: smallest-cycle tallies by walking every
   permutation, checked against the count-table recurrence.
+* ``moment_constant_reference``: the moment constant with the blocks
+  and the tail point fixed in advance (blocks 2..199 at p + 15 digits,
+  then exp(-gamma) from a 100-digit gamma), where the package ends its
+  quadrature at a bound it proves and never uses gamma.
 """
 
+from decimal import Decimal, localcontext
 from itertools import permutations as iter_permutations
 from typing import List
+
+from buchstab.numerics import context
+from buchstab.omega import integrate_block
+from buchstab.omega_k import OmegaKLedger
 
 BRUTE_FORCE_LIMIT = 8  # 8! = 40320 permutations, enumerable directly
 
@@ -37,3 +46,30 @@ def brute_force_counts(n: int) -> List[int]:
                     smallest = length
         tally[smallest] += 1
     return tally[1:]
+
+
+# Euler-Mascheroni constant to 100 decimals (standard tables); its first
+# 50 digits are the package's GAMMA_50.
+GAMMA_100 = ("0.57721566490153286060651209008240243104215933593992"
+             "35988057672348848677267776646709369470632917467495")
+REFERENCE_LAST_BLOCK = 199
+
+
+def exp_neg_gamma_100(p: int) -> Decimal:
+    """exp(-gamma) at p <= 90 digits, from GAMMA_100."""
+    with localcontext(context(p)):
+        return +(-Decimal(GAMMA_100)).exp()
+
+
+def moment_constant_reference(p: int, ell: int) -> Decimal:
+    """ell * integral_1^inf omega(x)/x^ell dx at p + 15 digits: the exact
+    head, blocks 2..199 of a p + 15 digit K = 1 ledger, and the tail
+    exp(-gamma) 200^(1-ell)/(ell-1), whose error |omega - exp(-gamma)|
+    is far below 10^-100 past u = 200."""
+    q = p + 15
+    ledger = OmegaKLedger(1, q)
+    with localcontext(context(q)):
+        quad = sum(integrate_block(ledger, n, ell)
+                   for n in range(2, REFERENCE_LAST_BLOCK + 1))
+        tail = exp_neg_gamma_100(q) * Decimal(REFERENCE_LAST_BLOCK + 1) ** (1 - ell) / (ell - 1)
+        return 1 - Decimal(1) / 2 ** ell + ell * (quad + tail)

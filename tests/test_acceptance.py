@@ -113,7 +113,7 @@ def table1000():
 
 @pytest.fixture(scope="module")
 def omega_ledger():
-    return build_omega_ledger(QuadratureConfig())  # p=30, through n* = 200
+    return build_omega_ledger(QuadratureConfig())  # p=30, grown as it is read
 
 
 @pytest.fixture(scope="module")

@@ -369,6 +369,11 @@ def test_format_rational_beyond_int_string_limit():
     ("omega", "--x", "inf"),
     ("omega-k", "--k", "abc", "--x", "5"),
     ("omega-k-table", "--k", "1", "--x-list", "3", "zz"),
+    # exponents past the context's range
+    ("omega", "--x", "1e100000000"),
+    ("omega-k", "--k", "1", "--x", "1e100000000"),
+    ("omega-k", "--k", "1e100000000", "--x", "3"),
+    ("omega-k-table", "--k", "1", "--x-list", "3", "1e100000000"),
 ])
 def test_bad_number_exit_code(capsys, argv):
     assert main(list(argv)) == 2
@@ -389,16 +394,34 @@ def test_digits_are_checked_on_every_command_that_prints_reals(capsys, argv):
     assert "--digits 0 is below 1" in captured.err
 
 
-def test_constant_digits_stop_at_the_gamma_literal(capsys, tmp_path):
-    # the constant's tail uses the 50-digit GAMMA_50, so more digits
-    # would print wrong ones: refused before any ledger is built
-    argv = ("constant", "--cache-dir", str(tmp_path))
-    for digits in ("51", "60"):
-        assert main([*argv, "--digits", digits]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "GAMMA_50" in captured.err
-    assert list(tmp_path.iterdir()) == []
-    assert run_cli(capsys, *argv, "--digits", "50")[0] == 0
+def test_constant_digits_past_fifty_are_printed(capsys):
+    # the quadrature's tail reads its constant off the ledger, not off a
+    # 50-digit gamma literal, so --digits has no ceiling there; the value
+    # agrees with a reference of blocks to 200 and a 100-digit gamma
+    code, out = run_cli(capsys, "constant", "--digits", "60")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "constant=1.30720779891056809974468019428857389489917668754669767637279")
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--x", "1e5000"),
+    ("omega-k", "--k", "1", "--x", "1e5000"),
+    ("omega-k-table", "--k", "0.5", "--x-list", "3", "1e5000"),
+])
+def test_huge_x_names_the_ledger_limit(capsys, argv):
+    # an x whose block number has more digits than str() spells out
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"limit {MAX_BLOCK}" in captured.err
+
+
+def test_cache_clear_that_cannot_remove_an_entry(capsys, tmp_path):
+    # a directory under an entry's name is a persistence error, not a crash
+    (tmp_path / "omega-k-ledger-abc.json").mkdir()
+    assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot remove cache entry" in captured.err
 
 
 # the options each subcommand accepted without reading them, and

@@ -14,7 +14,9 @@ from buchstab.omega import (
     integrate_block,
     moment_constant,
 )
-from buchstab.omega_k import OmegaBlock
+from buchstab.numerics import GAMMA_50
+from buchstab.omega_k import OmegaBlock, OmegaKLedger
+from oracles import GAMMA_100, exp_neg_gamma_100, moment_constant_reference
 
 # Reference values frozen from independent high-precision quadrature of
 # the closed forms (adaptive quadrature over the exact piecewise
@@ -223,6 +225,35 @@ def test_moment_constant_third_order(ledger):
     const = moment_constant(ledger, 3)
     assert Decimal("1.0") < const.value < Decimal("1.2")
     assert abs(const.value - M3_REFERENCE) < Decimal("1e-27")
+
+
+@pytest.mark.parametrize("p", [30, 40, 60])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_moment_constant_budget_is_honest_and_tight(p, ell):
+    # against blocks to 200 at p + 15 and a 100-digit gamma tail
+    const = moment_constant(OmegaKLedger(1, p), ell)
+    observed = abs(const.value - moment_constant_reference(p, ell))
+    assert observed <= const.error_budget < Decimal(1).scaleb(2 - p)
+
+
+@pytest.mark.parametrize("p", [30, 40, 60])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_last_block_slope_meets_the_tail_bound(p, ell):
+    # the Gronwall bound |omega(u) - a| <= M/n, u -> inf, at the block
+    # where the quadrature ends, with a = 2 c1 and M from that block's
+    # coefficients, its cut and the ledger allowance
+    ledger = OmegaKLedger(1, p)
+    moment_constant(ledger, ell)
+    n = ledger.built_through
+    c = ledger.block(n).coeffs
+    with localcontext(context(p + 10)):
+        M = (abs(c[0] - (2 * n + 1) * c[1]) + sum(map(abs, c[2:]))
+             + abs(c[0]) * Decimal(1).scaleb(-p) * (1 + 10 * n))
+        assert abs(2 * c[1] - exp_neg_gamma_100(p + 10)) <= M / n
+
+
+def test_gamma_100_extends_gamma_50():
+    assert GAMMA_100.startswith(GAMMA_50)
 
 
 def test_grid_convergence(ledger):

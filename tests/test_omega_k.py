@@ -119,6 +119,7 @@ def test_concurrent_reads_match_sequential_values():
     # a grown ledger is read without a lock: threads that share it must
     # get exactly the values a single thread gets
     ledger = build_omega_ledger(QuadratureConfig())
+    ledger.ensure(200)
     rng = random.Random(5)
     xs = [f"{rng.uniform(1, 41):.7f}" for _ in range(60)]
 

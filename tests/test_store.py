@@ -46,26 +46,27 @@ def test_save_load_save_is_byte_identical(tmp_path):
 
 def test_omega_ledger_round_trip(tmp_path):
     # omega is served from the K = 1 ledger, stored as an omega-k artifact
-    ledger = build_omega_ledger()
+    ledger = _omega_ledger()
     before = str(eval_omega(ledger, "2.5"))
     path = tmp_path / "omega.json"
     save_artifact(ledger, path)
     reloaded = load_artifact(path)
     assert str(eval_omega(reloaded, "2.5")) == before
-    assert (reloaded.K, reloaded.p, reloaded.built_through) == (1, 30, 200)
+    assert (reloaded.K, reloaded.p, reloaded.built_through) == (1, 30, ledger.built_through)
 
 
 def test_reloaded_omega_ledger_keeps_moment_constant(tmp_path):
-    # n* is the quadrature's: a reloaded 20-block ledger grows to the
-    # blocks it integrates (2..n*-1) and gives the constant of a fresh
-    # omega ledger
+    # the quadrature ends where its tail bound meets 10^-p: a reloaded
+    # 10-block ledger grows to that block and gives the constant of a
+    # fresh omega ledger
     ledger = OmegaKLedger(1)
-    ledger.ensure(20)
+    ledger.ensure(10)
     path = tmp_path / "omega.json"
     save_artifact(ledger, path)
     reloaded = load_artifact(path)
-    assert moment_constant(reloaded) == moment_constant(build_omega_ledger())
-    assert reloaded.built_through == 199
+    fresh = build_omega_ledger()
+    assert moment_constant(reloaded) == moment_constant(fresh)
+    assert reloaded.built_through == fresh.built_through == 19
 
 
 def test_omega_k_ledger_round_trip(tmp_path):
@@ -133,8 +134,15 @@ def test_non_string_checksum_rejected(tmp_path):
         load_artifact(path)
 
 
+def _omega_ledger():
+    """The omega ledger as the moment quadrature leaves it (19 blocks)."""
+    ledger = build_omega_ledger()
+    moment_constant(ledger)
+    return ledger
+
+
 _LEDGERS = {
-    "omega": build_omega_ledger,
+    "omega": _omega_ledger,
     "omega_k": _omega_k_ledger,
 }
 
