@@ -17,8 +17,8 @@ import importlib
 
 _EXPORTS = {
     "numerics": (
-        "DEFAULT_PRECISION", "PrecisionError", "as_real", "exp_neg_gamma",
-        "factorial", "rational_to_real",
+        "DEFAULT_PRECISION", "PrecisionError", "as_real", "factorial",
+        "rational_to_real",
     ),
     "counts": (
         "DERANGEMENTS", "PERMUTATIONS", "ComponentClass", "CountTable",

@@ -12,14 +12,16 @@ Subcommands:
     omega-k-table    table of Omega_K over the reference grid
     cache            list or clear the artifact cache
 
-Each subcommand accepts only the options it reads, except that the
-count commands accept ``--cache-dir`` and ignore it.  A command that
-prints reals works at ``max(DEFAULT_PRECISION, digits + GUARD_DIGITS)``
-decimal digits, so each of its ``--digits`` printed digits is right.
+Each subcommand accepts only the options it reads, except that every
+command but ``cache`` accepts ``--cache-dir`` and ignores it: each one
+builds the table or ledger it reads.  A command that prints reals works
+at ``max(DEFAULT_PRECISION, digits + GUARD_DIGITS)`` decimal digits, so
+each of its ``--digits`` printed digits is right.
 
-Every command is a pure function of its arguments (plus any cached
-artifacts): repeated runs emit byte-identical output.  Exit codes:
-0 success, 2 usage error, 3 resource cap, 4 persistence error.
+Every command is a pure function of its arguments: repeated runs emit
+byte-identical output.  Exit codes: 0 success, 2 usage error, 3 resource
+cap, 4 persistence error (an ``--out`` file or a cache entry that cannot
+be written or removed).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numerics import DEFAULT_PRECISION, as_real, int_str
+from .numerics import DEFAULT_PRECISION, int_str
 
 # Each command imports the layers it runs when it runs, so a call loads
 # only those.  Errors that carry an ``exit_code`` (MemoryCapError: 3;
@@ -39,7 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 DEFAULT_DIGITS = 6
-# The digits a ledger grown to omega_k.MAX_BLOCK loses to rounding, plus
+# The digits a chain grown to omega_k.MAX_BLOCK loses to rounding, plus
 # one spare: ceil(log10(MAX_BLOCK)) + 1, a literal so that this module
 # does not import omega_k.
 GUARD_DIGITS = 6
@@ -154,33 +156,20 @@ def cmd_variance_series(args) -> int:
     return EXIT_OK
 
 
-def _points(raw: Sequence, p: int) -> list:
-    """The evaluation points as reals, each checked to lie in [1, inf)
-    before a ledger or cache entry is touched."""
-    xs = [as_real(x, p) for x in raw]
-    for x in xs:
-        if x < 1:
-            raise UsageError(f"Omega_K is defined on [1, inf), got {x}")
-    return xs
-
-
 def cmd_omega(args) -> int:
     from .omega import eval_omega
-    from .store import cached_ledger
+    from .omega_k import OmegaKLedger
 
-    [x] = _points([args.x], args.precision)
-    with cached_ledger(args.cache_dir, "1", args.precision) as ledger:
-        value = eval_omega(ledger, x)
+    value = eval_omega(OmegaKLedger("1", args.precision), args.x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_constant(args) -> int:
     from .omega import moment_constant
-    from .store import cached_ledger
+    from .omega_k import OmegaKLedger
 
-    with cached_ledger(args.cache_dir, "1", args.precision) as ledger:
-        const = moment_constant(ledger, args.moment)
+    const = moment_constant(OmegaKLedger("1", args.precision), args.moment)
     lines = (
         f"constant={format_real(const.value, args.digits)}\n"
         f"error_budget={const.error_budget:.3E}\n"
@@ -191,23 +180,18 @@ def cmd_constant(args) -> int:
 
 
 def cmd_omega_k(args) -> int:
-    from .omega_k import eval_omega_k
-    from .store import cached_ledger
+    from .omega_k import OmegaKLedger, eval_omega_k
 
-    [x] = _points([args.x], args.precision)
-    with cached_ledger(args.cache_dir, args.k, args.precision) as ledger:
-        value = eval_omega_k(ledger, x)
+    value = eval_omega_k(OmegaKLedger(args.k, args.precision), args.x)
     _emit(format_real(value, args.digits) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_omega_k_table(args) -> int:
-    from .omega_k import PAPER_TABLE_GRID, table_values
-    from .store import cached_ledger
+    from .omega_k import PAPER_TABLE_GRID, OmegaKLedger, table_values
 
-    xs = _points(args.x_list or PAPER_TABLE_GRID, args.precision)
-    with cached_ledger(args.cache_dir, args.k, args.precision) as ledger:
-        values = table_values(ledger, xs)
+    ledger = OmegaKLedger(args.k, args.precision)
+    values = table_values(ledger, args.x_list or PAPER_TABLE_GRID)
     columns = ["x", "omega_k"]
     rows = [[f"{x:f}", format_real(v, args.digits)] for x, v in values]
     _emit(OutputTable(columns, rows).render(args.format), args.out)
@@ -231,15 +215,8 @@ class UsageError(ValueError):
     pass
 
 
-_CACHE_HELP = {
-    "ledgers": "cache Omega_K ledgers in DIR and reuse them on parameter match",
-    "ignored": "accepted and ignored: the count table is built directly",
-    "required": "the cache directory",
-}
-
-
 def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
-                 reals: bool = True, cache: str = "ledgers") -> None:
+                 reals: bool = True, cache: bool = False) -> None:
     """The output options a subcommand reads."""
     if table:
         parser.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -251,8 +228,9 @@ def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
                             help=f"significant digits for real values, worked "
                                  f"at max({DEFAULT_PRECISION}, digits + "
                                  f"{GUARD_DIGITS}) (default {DEFAULT_DIGITS})")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        required=cache == "required", help=_CACHE_HELP[cache])
+    parser.add_argument("--cache-dir", metavar="DIR", default=None, required=cache,
+                        help="the cache directory" if cache else
+                        "accepted and ignored: the command builds what it reads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,23 +245,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest object size")
     p.add_argument("--class", dest="klass", default="permutations",
                    help="component class (permutations, derangements)")
-    _add_options(p, reals=False, cache="ignored")
+    _add_options(p, reals=False)
     p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("dist", help="exact smallest-component distribution")
     p.add_argument("--n", type=int, required=True)
-    _add_options(p, reals=False, cache="ignored")
+    _add_options(p, reals=False)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("tail", help="exact tail probability P{X_n >= k}")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_options(p, reals=False, cache="ignored")
+    _add_options(p, reals=False)
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("variance-series", help="variance of X_n for n = 1..N")
     p.add_argument("--n", type=int, required=True, metavar="N")
-    _add_options(p, cache="ignored")
+    _add_options(p)
     p.set_defaults(func=cmd_variance_series)
 
     p = sub.add_parser("omega", help="Buchstab function value")
@@ -312,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
     p.add_argument("action", choices=("list", "clear"))
-    _add_options(p, table=False, reals=False, cache="required")
+    _add_options(p, table=False, reals=False, cache=True)
     p.set_defaults(func=cmd_cache)
 
     return parser

@@ -17,25 +17,20 @@ bit-identical digits.  Relative rounding error per operation is below
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
+from decimal import Context, Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "GAMMA_50",
     "PrecisionError",
     "context",
     "factorial",
-    "exp_neg_gamma",
     "rational_to_real",
     "as_real",
     "int_str",
 ]
 
 DEFAULT_PRECISION = 30
-
-# Euler-Mascheroni constant, 50 digits, vetted against standard tables.
-GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
 
 
 class PrecisionError(ValueError):
@@ -82,18 +77,6 @@ def int_str(n: int) -> str:
     """Digits of an exact integer; Decimal formats those too long for
     str() under CPython's default 4300-digit limit (str is faster)."""
     return str(n) if n.bit_length() < 14000 else f"{Decimal(n):f}"
-
-
-def exp_neg_gamma(p: int = DEFAULT_PRECISION) -> Decimal:
-    """e**(-gamma) to p digits, 1 <= p <= 50, from the stored 50-digit
-    gamma literal: more digits are refused rather than returned wrong."""
-    if p > 50:
-        raise PrecisionError(f"exp_neg_gamma supports at most 50 digits, got {p}")
-    if p < 1:
-        raise PrecisionError(f"precision must be >= 1 digit, got {p}")
-    with localcontext(Context(prec=p + 10)):
-        val = (-Decimal(GAMMA_50)).exp()
-    return Context(prec=p).plus(val)
 
 
 def rational_to_real(q: Fraction, p: int = DEFAULT_PRECISION) -> Decimal:

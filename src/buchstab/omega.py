@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context
-from .omega_k import LedgerRangeError, OmegaKLedger, eval_omega_k, series_over_binomial
+from .omega_k import (Expansion, LedgerRangeError, OmegaKLedger, eval_omega_k,
+                      series_over_binomial)
 
 __all__ = [
     "LedgerRangeError",
@@ -130,11 +131,12 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
     R = Omega_1 - a*x obeys R'(x) = R(x-1)/(x-1).  If |R| <= M on block
     n, [n, n+1], then y = M x/n solves the same equation and is >= M
     there, so a Gronwall step gives |R(x)| <= y(x) beyond: |omega(u) - a|
-    <= M/n for all u >= n (and |a - exp(-gamma)| <= M/n as u grows).  On
-    block n, a*x = a(n + 1/2) + (a/2) z, so M = |c0 - (2n+1) c1| +
-    sum_{i>=2} |c_i| + (the block's error), and the tail is off by at
+    <= M/n for all u >= n (and |a - exp(-gamma)| <= M/n as u grows).
+    This is the ledger's large-x fit at K = 1 (``omega_k.Expansion.fit``,
+    S = x): on block n, a*x = a(n + 1/2) + (a/2) z, so M = |c0 - (2n+1) c1|
+    + sum_{i>=2} |c_i| + the cut 10^-p |c0|, and the tail is off by at
     most ell/(ell-1) (n+1)^(1-ell) M/n.  Blocks are integrated until that
-    bound, with the cut 10^-p |c0| as the block's error, is below 10^-p.
+    bound is below 10^-p.
 
     The budget sums the cuts (10^-p (|c0| + 1) for block k's and
     integrate_block's, times 1/k^(ell+1)), the tail bound, rounding (half
@@ -153,20 +155,21 @@ def moment_constant(ledger: OmegaKLedger, moment_order: int = 2) -> MomentConsta
     with localcontext(context(p)):
         eps = Decimal(1).scaleb(-p)
         quad = block_err = Decimal(0)
+        fit = Expansion(ledger.K, p).fit  # S = x: a = 2 c1
         n = 1
         while True:
             n += 1
-            c = ledger.block(n).coeffs  # c1 ~ c0/(2n+1) is never cut
-            c1 = c[1]
+            block = ledger.block(n)  # c1 ~ c0/(2n+1) is never cut
+            c0 = block.coeffs[0]
             quad += integrate_block(ledger, n, ell)
-            slack = n * abs(c[0]) * 10 * eps  # the stated ledger allowance
+            slack = n * abs(c0) * 10 * eps  # the stated ledger allowance
             # the cuts and the allowance, weighted by 1/t^(ell+1) <= 1/n^(ell+1)
-            block_err += ((abs(c[0]) + 1) * eps + slack) / Decimal(n) ** (ell + 1)
-            M = abs(c[0] - (2 * n + 1) * c1) + sum(map(abs, c[2:])) + abs(c[0]) * eps
+            block_err += ((abs(c0) + 1) * eps + slack) / Decimal(n) ** (ell + 1)
+            a, M = fit(block)
             tail_weight = Decimal(ell) / ((ell - 1) * n * Decimal(n + 1) ** (ell - 1))
             if tail_weight * M < eps:
                 break
-        total = quad + 2 * c1 / ((ell - 1) * Decimal(n + 1) ** (ell - 1))
+        total = quad + a / ((ell - 1) * Decimal(n + 1) ** (ell - 1))
         value = Decimal(first.numerator) / Decimal(first.denominator) + ell * total
         rounding = ell * (n + 2) * eps.scaleb(total.adjusted() + 1) / 2 \
             + eps.scaleb(value.adjusted() + 1)

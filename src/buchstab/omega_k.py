@@ -32,6 +32,40 @@ below 10^-p |c_0|, so p alone sets the accuracy.  An advanced block
 starts from its natural length len(prev) + 1; past it alpha is exactly
 geometric in -1/(2n-1), which bounds the rest in closed form.
 
+Past a switch block n0 the blocks come from the large-x expansion, not
+the chain, whose rounding grows with its length.  Take
+
+    S_J(x) = sum_{j<=J} a_j x^(K-j),  a_0 = 1,
+    a_n = -(K/n) sum_{j<n} (-1)^(n-j) C(K-j-1, n-j) a_j,
+
+so that S_J' matches K S_J(x-1)/(x-1) through x^(K-1-J).  For integer K,
+a_n = 0 for n >= K (S = x at K = 1, x^2 + 2x at K = 2): J = K - 1 there,
+else J = p.  For any A, R = Omega_K - A S_J solves R'(x) = K R(x-1)/(x-1)
++ f(x) with f = A (K S_J(x-1)/(x-1) - S_J'(x)) = A sum_{m>J} g_m x^(K-1-m),
+g_m = K sum_{j<=J} (-1)^(m-j) C(K-j-1, m-j) a_j.  Let M0 = sup |R| on
+block n0 and F = integral_{n0+1}^inf |f|.  y = (M0 + F) Omega_K/Omega_K(n0)
+solves the homogeneous equation, y -+ R >= F on block n0, and beyond it
+their delay terms stay >= 0 (method of steps) while f takes at most F
+off: |R|/Omega_K <= (M0 + F)/Omega_K(n0) for all x >= n0.  The bound
+K sum_j |a_j C(K-j-1, m-j)| on |g_m|, gamma at m = J+1, grows at most
+(m+1)/(m+1-J) times a step, so with q = (J+2)/(2 n0 + 2) < 1,
+F <= |A| (n0+1)^K gamma (n0+1)^(-J-1) / ((J+1-K) (1-q)).
+
+On block n, with h = n + 1/2 and m = 2n + 1, S_J(n + (1+z)/2) =
+h^K sum_i u_i (z/m)^i, u_i = sum_j a_j h^-j C(K-j, i), whose terms past
+i > K shrink at least (i+J+1)/((i+1) m) times a step.  ``fit`` reads
+A = c1/s1 off a block, s_i = h^K u_i m^-i, and bounds M0 by the block's
+cut 10^-p |c0|, sum_{i != 1} |c_i - A s_i| and the terms past the last
+u_i; at K = 1 these are a = 2 c1 and the M of ``moment_constant``.
+n0 is the first block, tested when the chain must grow past it, with
+M0 + F < n0 10^-p Omega_K(n0): the rounding the chain carries by then,
+below which no fit tells better.  Block n > n0 is A h^K sum_i u_i (z/m)^i,
+cut like a chain block; ``Switch.bound`` states its relative error as
+(M0 + F)/Omega_K(n0) plus (n0 + 2) 10^(1-p) for the rounding block n0
+carries (the allowance ``moment_constant`` states) and the direct
+block's cut and rounding.  If no block up to ``MAX_BLOCK`` passes
+(K > p + 1, say), the chain grows as before.
+
 ``oracle_quadrature`` solves the defining integral equation directly by
 the method of steps with composite Simpson quadrature on a per-interval
 dyadic grid (unit-interval prefix integrals are memoized).  It never
@@ -45,7 +79,7 @@ from __future__ import annotations
 import math
 import threading
 from decimal import Context, Decimal, localcontext
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context
 
@@ -71,7 +105,7 @@ PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
     2 ** e for e in range(4, 14)
 )
 
-MAX_BLOCK = 16384  # the last block a ledger grows: a huge x cannot grow it forever
+MAX_BLOCK = 16384  # the last block a ledger makes: a huge x cannot grow it forever
 
 
 class LedgerRangeError(ValueError):
@@ -171,52 +205,170 @@ def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlo
         return OmegaBlock(n, _cut(coeffs, tail, p))
 
 
-class OmegaKLedger:
-    """Lazily grown chain of Omega_K blocks for one value of K.
+def _order(K: Decimal, p: int) -> int:
+    """J: K - 1 for an integer K <= p + 1, where a_J is the last nonzero
+    coefficient and the residual vanishes; p otherwise."""
+    return int(K) - 1 if K % 1 == 0 and K <= p + 1 else p
 
-    Blocks are appended sequentially up to the largest requested x, at
-    most through block ``MAX_BLOCK``, and then reused; finished blocks are never mutated.  Growth holds a
-    lock, so threads may share a ledger; reads of built blocks take none.
-    Growth starts from ``_built(built_through)``, so a reloaded ledger
-    whose blocks are decoded on first read grows from its decoded last
-    block.
+
+class Expansion:
+    """S_J and its residual bound for one (K, p) (module docstring)."""
+
+    def __init__(self, K: Decimal, p: int):
+        self.K, self.p, self.J = K, p, _order(K, p)
+        with localcontext(context(p)):
+            a = [Decimal(1)]
+            binom: List[Decimal] = []  # binom[j] = C(K-j-1, n-j)
+            for n in range(1, self.J + 2):
+                binom = [b * (K - n) / (n - j) for j, b in enumerate(binom + [Decimal(1)])]
+                if n <= self.J:
+                    a.append(-K / n * sum(-b * c if (n - j) % 2 else b * c
+                                          for j, (b, c) in enumerate(zip(binom, a))))
+            self.a = a
+            self.gamma = K * sum(abs(b * c) for b, c in zip(binom, a))
+
+    def series(self, n: int, upto: int = 0) -> Tuple[List[Decimal], Decimal]:
+        """u_0..u_{I-1} on block n and a bound on sum_{i>=I} |u_i| m^-i,
+        I the first index past K where it is below 10^-p |u_0| (or
+        ``upto``, with no bound).  The last terms j are left out while
+        their share, at most 3 |a_j h^-j| each (sum_i |C(K-j, i)| m^-i <=
+        (1 - 1/m)^(K-j) <= e for j > K and m > J + 1), totals below half
+        that bound, and the bound includes it: far blocks need few terms."""
+        K, m = self.K, 2 * n + 1
+        with localcontext(context(self.p)):
+            h, w, terms = Decimal(m) / 2, Decimal(1), []
+            for c in self.a:
+                terms.append(c * w)
+                w /= h
+            u = [sum(terms)]
+            limit, dropped = abs(u[0]).scaleb(-self.p), Decimal(0)
+            while len(terms) > 1 + K and dropped + 3 * abs(terms[-1]) < limit / 2:
+                dropped += 3 * abs(terms.pop())
+            shifts = [K - j for j in range(len(terms))]
+            while len(u) != upto:  # terms[j] is a_j h^-j i! C(K-j, i)
+                i = len(u)
+                terms = [t * (k - i + 1) for t, k in zip(terms, shifts)]
+                if i > K and abs(u[-1]) < limit * m ** (i - 1):  # else not small yet
+                    tail = sum(map(abs, terms)) * (i + 1) * m / (
+                        math.factorial(i) * m ** i * ((i + 1) * m - i - self.J - 1))
+                    if tail + dropped < limit:
+                        return u, tail + dropped
+                u.append(sum(terms) / math.factorial(i))
+            return u, Decimal("Infinity")
+
+    def fit(self, block: OmegaBlock) -> Tuple[Decimal, Decimal]:
+        """(A, M0): A = c1/s1 fits A S_J to the block's slope, and M0
+        bounds sup |Omega_K - A S_J| on the block (module docstring)."""
+        n, c = block.n, block.coeffs
+        m = 2 * n + 1
+        u, tail = self.series(n)
+        with localcontext(context(self.p)):
+            A = c[1] / (u[1] * (Decimal(m) / 2) ** self.K / m)
+            B = c[1] * m / u[1]  # A h^K
+            fit = abs(c[0] - B * u[0]) + sum(
+                abs((c[i] if i < len(c) else 0) - (B * u[i] / m ** i if i < len(u) else 0))
+                for i in range(2, max(len(c), len(u))))
+            return A, fit + abs(B) * tail + abs(c[0]).scaleb(-self.p)
+
+    def residual(self, n: int, B: Decimal) -> Decimal:
+        """The bound on F (module docstring) for A = B h^-K and n > J/2;
+        infinite if K >= J + 1."""
+        J, K = self.J, self.K
+        if not self.gamma:
+            return Decimal(0)
+        if J + 1 <= K:
+            return Decimal("Infinity")
+        with localcontext(context(self.p)):
+            # A (n+1)^K = B ((n+1)/h)^K <= B ((2n+2)/(2n+1))^ceil(K)
+            scale = abs(B) * (Decimal(2 * n + 2) / (2 * n + 1)) ** math.ceil(K)
+            q = Decimal(J + 2) / (2 * n + 2)
+            return scale * self.gamma / (Decimal(n + 1) ** (J + 1) * (J + 1 - K) * (1 - q))
+
+
+class Switch(NamedTuple):
+    """Blocks past ``n0`` are ``A`` S_J, within relative error ``bound``."""
+
+    n0: int
+    A: Decimal
+    bound: Decimal
+
+
+class OmegaKLedger:
+    """Omega_K blocks for one value of K: a chain grown block by block up
+    to the largest requested x, each block tested for the switch when
+    the chain must grow past it, and past the switch block, blocks from
+    the large-x expansion, made as they are read.  No block beyond
+    ``MAX_BLOCK`` is made, and made blocks are never mutated.  Growth
+    holds a lock, so threads may share a ledger; reads take none.
     """
 
-    def __init__(self, K, p: int = DEFAULT_PRECISION):
+    def __init__(self, K, p: int = DEFAULT_PRECISION, chain: Sequence[OmegaBlock] = ()):
+        """``chain``, if given, holds blocks 1, 2, ... to go on from (as
+        ``store.load_artifact`` reads them); else the seed blocks."""
         self.K = as_real(K, p)
         self.p = p
         self._grow_lock = threading.Lock()
-        self._blocks: List[OmegaBlock] = [
-            None,  # type: ignore[list-item]
-            seed_block1(),
-            seed_block2(self.K, p),
-        ]
+        self._blocks = [None] + list(chain or (seed_block1(), seed_block2(self.K, p)))
+        self._tested = len(self._blocks) - 2  # the last block is not tested yet
+        self._expansion: Optional[Expansion] = None
+        self._direct: Dict[int, OmegaBlock] = {}
+        self.switch: Optional[Switch] = None
 
     @property
     def built_through(self) -> int:
+        """The last chain block."""
         return len(self._blocks) - 1
 
     def ensure(self, n: int) -> None:
         if n > MAX_BLOCK:
             raise LedgerRangeError(f"block {n} beyond the ledger limit {MAX_BLOCK}")
-        if n <= self.built_through:
+        if n <= self.built_through or n in self._direct:
             return
         with self._grow_lock:
-            prev = self._built(self.built_through)
-            while self.built_through < n:
-                prev = advance_omega_k(prev, self.K, self.p)
-                self._blocks.append(prev)
+            while self.switch is None and self.built_through < n:
+                last = self._blocks[-1]
+                if self._tested < last.n:
+                    self._tested = last.n
+                    self.switch = self._test(last)
+                else:
+                    self._blocks.append(advance_omega_k(last, self.K, self.p))
+            if n > self.built_through and n not in self._direct:
+                self._direct[n] = self._direct_block(n)
 
     def block(self, n: int) -> OmegaBlock:
         if n < 1:
             raise LedgerRangeError(f"block index must be >= 1, got {n}")
         self.ensure(n)
-        return self._built(n)
+        return self._blocks[n] if n <= self.built_through else self._direct[n]
 
-    def _built(self, n: int) -> OmegaBlock:
-        """Block n, one of 1..built_through, read without growth or the
-        MAX_BLOCK check."""
-        return self._blocks[n]
+    def _test(self, block: OmegaBlock) -> Optional[Switch]:
+        """The switch at ``block`` if the expansion fits it within
+        n 10^-p Omega_K(n) (module docstring); the cheap residual first."""
+        n, c, m = block.n, block.coeffs, 2 * block.n + 1
+        if 2 * n <= _order(self.K, self.p) or len(c) < 2:
+            return None  # the bound on F needs n > J/2
+        exp = self._expansion = self._expansion or Expansion(self.K, self.p)
+        with localcontext(context(self.p)):
+            low = block.eval(Decimal(-1), context(self.p))  # Omega_K(n)
+            limit = n * low.scaleb(-self.p)
+            (u0, u1), _ = exp.series(n, upto=2)
+            B = c[1] * m / u1  # A h^K, as ``fit`` reads it
+            F = exp.residual(n, B)
+            if F + abs(c[0] - B * u0) >= limit:  # two parts of M0 + F
+                return None
+            A, M0 = exp.fit(block)
+            if M0 + F >= limit:
+                return None
+            return Switch(n, A, (M0 + F) / low + (n + 2) * Decimal(1).scaleb(1 - self.p))
+
+    def _direct_block(self, n: int) -> OmegaBlock:
+        """Block n > n0: A S_J's series on [n, n+1), cut like a chain block."""
+        u, tail = self._expansion.series(n)
+        m = 2 * n + 1
+        with localcontext(context(self.p)):
+            B = self.switch.A * (Decimal(m) / 2) ** self.K
+            coeffs = [B * ui / m ** i for i, ui in enumerate(u)]
+            return OmegaBlock(n, _cut(coeffs, abs(B) * tail, self.p))
 
 
 def eval_omega_k(ledger: OmegaKLedger, x) -> Decimal:

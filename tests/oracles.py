@@ -7,6 +7,9 @@ part of it under test, used only to check it.
   and the tail point fixed in advance (blocks 2..199 at p + 15 digits,
   then exp(-gamma) from a 100-digit gamma), where the package ends its
   quadrature at a bound it proves and never uses gamma.
+* ``OmegaKChain``: Omega_K from the block chain alone, grown to any
+  block, where the package's ledger switches to the large-x expansion;
+  at p + 15 digits it checks the expansion blocks.
 """
 
 from decimal import Decimal, localcontext
@@ -15,7 +18,7 @@ from typing import List
 
 from buchstab.numerics import context
 from buchstab.omega import integrate_block
-from buchstab.omega_k import OmegaKLedger
+from buchstab.omega_k import OmegaBlock, OmegaKLedger, advance_omega_k, seed_block1, seed_block2
 
 BRUTE_FORCE_LIMIT = 8  # 8! = 40320 permutations, enumerable directly
 
@@ -48,8 +51,7 @@ def brute_force_counts(n: int) -> List[int]:
     return tally[1:]
 
 
-# Euler-Mascheroni constant to 100 decimals (standard tables); its first
-# 50 digits are the package's GAMMA_50.
+# Euler-Mascheroni constant to 100 decimals (standard tables).
 GAMMA_100 = ("0.57721566490153286060651209008240243104215933593992"
              "35988057672348848677267776646709369470632917467495")
 REFERENCE_LAST_BLOCK = 199
@@ -73,3 +75,25 @@ def moment_constant_reference(p: int, ell: int) -> Decimal:
                    for n in range(2, REFERENCE_LAST_BLOCK + 1))
         tail = exp_neg_gamma_100(q) * Decimal(REFERENCE_LAST_BLOCK + 1) ** (1 - ell) / (ell - 1)
         return 1 - Decimal(1) / 2 ** ell + ell * (quad + tail)
+
+
+class OmegaKChain:
+    """The p-digit Omega_K chain, grown by looping ``advance_omega_k`` as
+    far as it is read: the reference for the blocks a ledger makes from
+    the large-x expansion past its switch block."""
+
+    def __init__(self, K, p: int):
+        self.K, self.p = K, p
+        self.blocks: List[OmegaBlock] = [seed_block1(), seed_block2(K, p)]
+
+    def block(self, n: int) -> OmegaBlock:
+        while len(self.blocks) < n:
+            self.blocks.append(advance_omega_k(self.blocks[-1], self.K, self.p))
+        return self.blocks[n - 1]
+
+    def value(self, x) -> Decimal:
+        """Omega_K(x) from the chain's block floor(x)."""
+        ctx = context(self.p)
+        x = ctx.create_decimal(x)
+        n = int(x)
+        return self.block(n).eval(ctx.subtract(ctx.multiply(2, x - n), 1), ctx)

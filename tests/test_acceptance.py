@@ -27,7 +27,7 @@ from buchstab.counts import (
     tail_probability,
     variance,
 )
-from buchstab.numerics import context, exp_neg_gamma
+from buchstab.numerics import context
 from buchstab.omega import (
     QuadratureConfig,
     build_omega_ledger,
@@ -41,7 +41,7 @@ from buchstab.omega_k import (
     proportion_large_smallest,
 )
 from buchstab.store import load_artifact, save_artifact
-from oracles import brute_force_counts
+from oracles import brute_force_counts, exp_neg_gamma_100
 
 # Reference triangular table for sizes 1..10 (exact integers).
 TABLE_1 = {
@@ -221,7 +221,7 @@ def test_criterion_06_closed_forms_and_limit_band(omega_ledger):
         else:
             ref = ctx.divide(1 + ctx.ln(x - 1), x)
         worst = max(worst, abs(v - ref))
-    egamma = exp_neg_gamma(30)
+    egamma = exp_neg_gamma_100(30)
     band_ok = all(
         abs(eval_omega(omega_ledger, x) - egamma) < Decimal("1e-4")
         for x in range(5, 21)

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 
 from buchstab.cli import GUARD_DIGITS, format_rational, format_real, main
-from buchstab.omega import eval_omega
-from buchstab.omega_k import MAX_BLOCK, OmegaKLedger, eval_omega_k
-from buchstab.store import load_artifact, save_artifact
+from buchstab.numerics import context
+from buchstab.omega_k import MAX_BLOCK, OmegaKLedger
+from buchstab.store import save_artifact
+from oracles import OmegaKChain
 
 
 def run_cli(capsys, *argv):
@@ -160,27 +161,63 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def plant_entry(cache_dir, blocks=20, K="1"):
+    """A cache entry as earlier versions wrote it: the K ledger's first
+    ``blocks`` chain blocks at the default precision."""
+    path = cache_dir / "omega-k-ledger-0123456789abcdef01234567.json"
+    chain = OmegaKChain(K, 30)
+    chain.block(blocks)
+    save_artifact(OmegaKLedger(K, 30, chain.blocks), path)
+    os.utime(path, ns=(10 ** 9, 10 ** 9))
+    return path
+
+
+def assert_untouched(path, data):
+    stamp = path.stat()
+    assert path.read_bytes() == data and stamp.st_mtime_ns == 10 ** 9
+
+
 def test_cache_round_trip(capsys, tmp_path):
+    # a ledger command accepts --cache-dir and writes nothing there
     cache_dir = str(tmp_path / "cache")
     args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", cache_dir)
     _, first = run_cli(capsys, *args)
-    _, second = run_cli(capsys, *args)  # served from cache
-    assert first == second
-    code, listing = run_cli(capsys, "cache", "list", "--cache-dir", cache_dir)
+    _, second = run_cli(capsys, *args)
+    assert first == second == run_cli(capsys, *args[:-2])[1] == "3.08803\n"
+    assert run_cli(capsys, "cache", "list", "--cache-dir", cache_dir) == (0, "")
+    assert run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir) == (0, "removed=0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", "--x", "300.5"),
+    ("constant", "--moment", "3"),
+    ("omega-k", "--k", "0.5", "--x", "40.5"),
+    ("omega-k", "--k", "5e-1", "--x", "2048.5"),
+    ("omega-k-table", "--k", "1"),
+])
+def test_ledger_commands_ignore_the_cache_dir(capsys, tmp_path, argv):
+    # with --cache-dir, new or holding an earlier version's entry, or
+    # unusable, a ledger command prints what it prints without one, and
+    # neither reads nor writes the directory
+    code, expected = run_cli(capsys, *argv)
     assert code == 0
-    assert len(listing.strip().splitlines()) == 1
-    code, cleared = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
-    assert code == 0
-    assert cleared == "removed=1\n"
+    empty, planted = tmp_path / "empty", tmp_path / "planted"
+    planted.mkdir()
+    entry = plant_entry(planted)
+    data = entry.read_bytes()
+    (tmp_path / "occupied").write_text("a file")
+    for where in (empty, planted, tmp_path / "occupied" / "sub"):
+        assert run_cli(capsys, *argv, "--cache-dir", str(where)) == (0, expected)
+    assert not empty.exists() and list(planted.iterdir()) == [entry]
+    assert_untouched(entry, data)
 
 
 def test_cache_clear_keeps_files_that_are_not_entries(capsys, tmp_path):
-    # a user's settings.json is neither listed nor removed; an entry of a
-    # kind an earlier version wrote is both
+    # a user's settings.json is neither listed nor removed; the entries
+    # earlier versions wrote are both
     cache_dir = tmp_path / "cache"
-    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "5.5",
-                   "--cache-dir", str(cache_dir))[0] == 0
-    [entry] = cache_dir.glob("*.json")
+    cache_dir.mkdir()
+    entry = plant_entry(cache_dir)
     (cache_dir / "settings.json").write_text("{}\n")
     (cache_dir / "omega-ledger-0123456789abcdef01234567.json").write_text("{}\n")
     code, listing = run_cli(capsys, "cache", "list", "--cache-dir", str(cache_dir))
@@ -191,80 +228,26 @@ def test_cache_clear_keeps_files_that_are_not_entries(capsys, tmp_path):
     assert sorted(p.name for p in cache_dir.glob("*.json")) == ["settings.json"]
 
 
-def test_omega_k_first_interval_served_from_cache(capsys, tmp_path):
-    cache_dir = tmp_path / "cache"
-    args = ("omega-k", "--k", "1", "--x", "1.5", "--cache-dir", str(cache_dir))
-    code, first = run_cli(capsys, *args)
-    assert code == 0 and first == "1.00000\n"
-    [entry] = list(cache_dir.glob("*.json"))
-    os.utime(entry, ns=(10 ** 9, 10 ** 9))
-    stamp = entry.stat()
-    code, second = run_cli(capsys, *args)
-    assert code == 0 and second == first
-    after = entry.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
-
-
 def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
-    # the growth limit MAX_BLOCK refuses x past it with no entry and with one
+    # the growth limit MAX_BLOCK refuses x past it, with --cache-dir too
     cache_dir = str(tmp_path / "cache")
     inside = ("omega-k", "--k", "1", "--x", "60.5", "--cache-dir", cache_dir)
     beyond = inside[:4] + (f"{MAX_BLOCK + 1}.5",) + inside[5:]
     for argv, code, out in ((beyond, 2, ""), (inside, 0, "33.9683\n"),
-                            (beyond, 2, "")):  # the last one on a warm cache
+                            (beyond, 2, "")):
         assert main(list(argv)) == code
         captured = capsys.readouterr()
         assert captured.out == out
         assert (f"limit {MAX_BLOCK}" in captured.err) == (code == 2)
 
 
-def test_omega_commands_share_one_cache_entry(capsys, tmp_path):
-    cache_dir = tmp_path / "cache"
-    for argv in (("omega-k", "--k", "1", "--x", "20.5"),
-                 ("omega", "--x", "20.5"),
-                 ("omega", "--x", "3.5"),
-                 ("constant",)):
-        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
-        assert code == 0 and out, argv
-    assert [p.name.startswith("omega-k-ledger-")
-            for p in cache_dir.glob("*.json")] == [True]
-
-
-def test_shorter_queries_read_the_longer_entry(capsys, tmp_path):
-    # one entry per K and precision: after omega-k grows it to 600
-    # blocks, the shorter K = 1 commands hit it and leave it as it is
-    cache = ("--cache-dir", str(tmp_path))
-    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "600.5", *cache)[0] == 0
-    [entry] = tmp_path.glob("*.json")
-    os.utime(entry, ns=(10 ** 9, 10 ** 9))
-    stamp = entry.stat()
-    for argv in (("omega-k", "--k", "1", "--x", "3.5"), ("omega", "--x", "2.5"),
-                 ("constant",)):
-        assert run_cli(capsys, *argv, *cache) == run_cli(capsys, *argv), argv
-    assert list(tmp_path.glob("*.json")) == [entry]
-    after = entry.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
-
-
-def test_longer_query_grows_the_entry(capsys, tmp_path):
-    # the grown entry holds what a fresh ledger grown as far holds
-    cache = ("--cache-dir", str(tmp_path / "cache"))
-    for x in ("40.5", "300.5"):
-        argv = ("omega-k", "--k", "0.5", "--x", x)
-        assert run_cli(capsys, *argv, *cache) == run_cli(capsys, *argv)
-    [entry] = (tmp_path / "cache").glob("*.json")
-    fresh = OmegaKLedger("0.5")
-    fresh.ensure(300)
-    save_artifact(fresh, tmp_path / "fresh.json")
-    assert entry.read_bytes() == (tmp_path / "fresh.json").read_bytes()
-
-
 def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
-    # an entry of 8192 blocks serves omega, constant and omega-k as an
-    # uncached call does: values inside the entry, and the ledger's
-    # growth limit MAX_BLOCK
+    # beside an 8192-block entry an earlier version wrote, omega, constant
+    # and omega-k print what they print without it: values, and the
+    # ledger's growth limit MAX_BLOCK
     cache = ("--cache-dir", str(tmp_path))
-    assert run_cli(capsys, "omega-k", "--k", "1", "--x", "8192.5", *cache)[0] == 0
+    entry = plant_entry(tmp_path, 8192)
+    data = entry.read_bytes()
     for argv in (("omega", "--x", "20.5"),
                  ("omega", "--x", "8192.5"),
                  ("omega", "--x", "16385.5"),
@@ -277,7 +260,7 @@ def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
         assert warm == (code, capsys.readouterr()), argv
         assert (code == 2) == ("16385.5" in argv), argv
         assert (f"limit {MAX_BLOCK}" in warm[1].err) == (code == 2), argv
-    assert load_artifact(next(tmp_path.glob("*.json"))).built_through == 8192
+    assert_untouched(entry, data)
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,7 +269,7 @@ def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
     ("omega-k-table", "--k", "1", "--x-list", "0.5", "3"),
 ])
 def test_refused_x_leaves_the_cache_empty(capsys, tmp_path, argv):
-    # every x is checked before the cache is read or written
+    # an x outside [1, inf) is a usage error, and nothing is written
     assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "defined on [1, inf)" in captured.err
@@ -294,48 +277,43 @@ def test_refused_x_leaves_the_cache_empty(capsys, tmp_path, argv):
 
 
 def test_non_finite_cached_coefficient_exit_code(capsys, tmp_path):
-    # a tampered but re-checksummed artifact must never print a number
-    cache_dir = tmp_path / "cache"
-    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
-    code, first = run_cli(capsys, *args)
-    assert code == 0
-    [entry] = list(cache_dir.glob("*.json"))
+    # a tampered but re-checksummed entry is never read: the command
+    # prints the fresh value
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(tmp_path))
+    entry = plant_entry(tmp_path)
     set_first_coefficient(entry, 5, "NaN")  # block 5 is the one x = 5.5 reads
-    code, out = run_cli(capsys, *args)
-    assert code == 4 and out == ""
+    assert run_cli(capsys, *args) == (0, "3.08803\n")
 
 
 def test_tampered_block_fails_only_where_read(capsys, tmp_path):
-    # a re-checksummed entry with a NaN in block 3: a query that never
-    # reads block 3 prints the fresh answer, one that reads it exits 4
-    cache_dir = tmp_path / "cache"
-    far = ("omega-k", "--k", "1", "--x", "20.5", "--cache-dir", str(cache_dir))
-    near = ("omega-k-table", "--k", "1", "--x-list", "3.5", "20",
-            "--cache-dir", str(cache_dir))  # the same entry, n* = 20
-    code, fresh = run_cli(capsys, *far)
-    assert code == 0
-    [entry] = cache_dir.glob("*.json")
+    # a re-checksummed entry with a NaN in block 3 is read by no command,
+    # so none fails: each prints what it prints with no cache directory
+    cache = ("--cache-dir", str(tmp_path))
+    far = ("omega-k", "--k", "1", "--x", "20.5")
+    near = ("omega-k-table", "--k", "1", "--x-list", "3.5", "20")
+    entry = plant_entry(tmp_path)
     set_first_coefficient(entry, 3, "NaN")
-    assert run_cli(capsys, *far) == (0, fresh)
-    assert run_cli(capsys, *near) == (4, "")
+    for argv in (far, near):
+        assert run_cli(capsys, *argv, *cache) == run_cli(capsys, *argv)
 
 
 def test_corrupt_cache_file_exit_code(capsys, tmp_path):
-    # a cached ledger with one byte flipped, or cut short, either still
-    # gives a fresh build's output (exit 0) or ends in exit 4 with no output
-    cache_dir = tmp_path / "cache"
-    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
-    code, fresh = run_cli(capsys, *args)
-    assert code == 0
-    [entry] = cache_dir.glob("*.json")
+    # an entry with one byte flipped, or cut short, is never read: the
+    # command gives a fresh build's output (exit 0) and leaves the file
+    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(tmp_path))
+    entry = plant_entry(tmp_path, 5)
     intact = entry.read_bytes()
+    fresh = run_cli(capsys, *args[:-2])
+    assert fresh == (0, "3.08803\n")
 
     def flip(at, value):
         return intact[:at] + bytes([value]) + intact[at + 1:]
 
     def outcome(data):
         entry.write_bytes(data)
-        return run_cli(capsys, *args)
+        result = run_cli(capsys, *args)
+        assert entry.read_bytes() == data
+        return result
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(
@@ -343,14 +321,12 @@ def test_corrupt_cache_file_exit_code(capsys, tmp_path):
         st.integers(0, len(intact)).map(lambda n: intact[:n]),
     ))
     def check(data):
-        assert outcome(data) in ((0, fresh), (4, ""))
+        assert outcome(data) == fresh
 
     check()
-    assert outcome(flip(200, 0xFF)) == (4, "")  # not ASCII
-    # another format version is a cache miss: the entry is rebuilt
+    assert outcome(flip(200, 0xFF)) == fresh  # not ASCII
     version = intact.index(b'"format_version":3') + len(b'"format_version":')
-    assert outcome(flip(version, ord("7"))) == (0, fresh)
-    assert entry.read_bytes() == intact
+    assert outcome(flip(version, ord("7"))) == fresh
 
 
 def test_format_real_carries_into_next_power_of_ten():
@@ -480,40 +456,6 @@ def test_unwritable_out_exit_code_in_a_fresh_process(tmp_path):
     assert line.startswith("error: cannot write output")
 
 
-@pytest.mark.parametrize("spelling", ["5e-1", "1.0"])
-def test_warm_call_hits_the_entry_it_stored(capsys, tmp_path, spelling):
-    # the lookup key and the stored artifact's params must agree for any
-    # spelling of K, or every warm call would miss and rewrite the entry
-    args = ("omega-k", "--k", spelling, "--x", "5.5", "--cache-dir", str(tmp_path))
-    code, cold = run_cli(capsys, *args)
-    assert code == 0
-    [entry] = tmp_path.glob("*.json")
-    os.utime(entry, ns=(10 ** 9, 10 ** 9))
-    stamp = entry.stat()
-    assert run_cli(capsys, *args) == (0, cold)
-    after = entry.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
-
-
-def test_spellings_of_k_share_one_entry(capsys, tmp_path):
-    # the cache keys K by its value: three spellings of 1/2 leave one
-    # entry and print the same, cold and warm
-    cache = ("--cache-dir", str(tmp_path / "cache"))
-    outs = set()
-    for spelling in ("0.5", "5e-1", "0.50") * 2:
-        outs.add(run_cli(capsys, "omega-k", "--k", spelling, "--x", "300.5", *cache))
-    assert outs == {(0, "14.6445\n")}
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
-    # each spelling alone writes the same block lines
-    bodies = set()
-    for spelling in ("0.5", "5e-1", "0.50"):
-        own = ("--cache-dir", str(tmp_path / spelling))
-        assert run_cli(capsys, "omega-k", "--k", spelling, "--x", "40.5", *own)[0] == 0
-        [entry] = (tmp_path / spelling).glob("*.json")
-        bodies.add(entry.read_bytes().split(b"\n", 1)[1])
-    assert len(bodies) == 1
-
-
 @pytest.mark.parametrize("digits", ["0", "-3"])
 def test_digits_beyond_precision_is_a_usage_error(capsys, digits):
     # fewer than one digit prints nothing
@@ -555,56 +497,30 @@ def assert_within_one_unit(printed, value, digits):
 @pytest.mark.parametrize("digits", [25, 30, 40])
 @pytest.mark.parametrize("k", ["1", "0.5"])
 def test_every_printed_digit_matches_a_finer_ledger(capsys, k, digits):
-    # each command prints what a ledger with 15 more digits than printed
-    # gives, out to x = 8192, where the p = 30 ledger has lost 4 digits
-    fine = OmegaKLedger(k, digits + 15)
+    # each command prints what a chain with 15 more digits than printed
+    # gives, out to x = 8192, where a p = 30 chain has lost 4 digits
+    q = digits + 15
+    chain = OmegaKChain(k, q)
     flag = ("--digits", str(digits))
     code, out = run_cli(capsys, "omega-k-table", "--k", k, "--x-list",
                         "2.5", "10.5", "100.5", "1000.5", "4096", "8192", *flag)
     assert code == 0
     for x, printed in parse_csv(out)[1:]:
-        assert_within_one_unit(printed, eval_omega_k(fine, x), digits)
+        assert_within_one_unit(printed, chain.value(x), digits)
     code, out = run_cli(capsys, "omega-k", "--k", k, "--x", "8192.5", *flag)
     assert code == 0
-    assert_within_one_unit(out.strip(), eval_omega_k(fine, "8192.5"), digits)
+    assert_within_one_unit(out.strip(), chain.value("8192.5"), digits)
     if k == "1":
         for x in ("2.5", "8192"):
             code, out = run_cli(capsys, "omega", "--x", x, *flag)
             assert code == 0
-            assert_within_one_unit(out.strip(), eval_omega(fine, x), digits)
+            assert_within_one_unit(out.strip(), context(q).divide(chain.value(x), Decimal(x)), digits)
 
 
 def test_omega_1_at_8192_is_8192_exp_neg_gamma(capsys):
     # past x ~ 20, Omega_1(x) = x e^-gamma to more than 30 digits
     assert run_cli(capsys, "omega-k", "--k", "1", "--x", "8192", "--digits", "30") == (
         0, "4599.47608937992331119938121557\n")
-
-
-@pytest.mark.parametrize("digits, p", [(None, 30), ("24", 30), ("30", 36)])
-def test_cache_entry_is_keyed_on_the_working_precision(capsys, tmp_path, digits, p):
-    argv = ["omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(tmp_path)]
-    assert main(argv + (["--digits", digits] if digits else [])) == 0
-    [entry] = tmp_path.glob("*.json")
-    assert json.loads(entry.read_bytes().split(b"\n", 1)[0])["params"]["p"] == p
-
-
-def test_old_format_cache_entries_are_rebuilt(capsys, tmp_path):
-    cache_dir = tmp_path / "cache"
-    args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(cache_dir))
-    assert run_cli(capsys, *args)[0] == 0
-    [entry] = cache_dir.glob("omega-k-ledger-*.json")
-    current = entry.read_bytes()
-    assert json.loads(current.splitlines()[0])["format_version"] == 3
-    head, *lines = current.decode("ascii").splitlines()
-    blocks = [{"n": rec[0], "coeffs": rec[1:]} for rec in map(json.loads, lines)]
-    for version in (1, 2):  # as those versions wrote it, at the same key path
-        payload = {"blocks": blocks}
-        header = {"format_version": version, "kind": "omega-k-ledger",
-                  "params": json.loads(head)["params"],
-                  "payload_sha256": hashlib.sha256(canonical(payload)).hexdigest()}
-        entry.write_bytes(canonical({"header": header, "payload": payload}) + b"\n")
-        assert run_cli(capsys, *args) == (0, "3.08803\n")
-        assert entry.read_bytes() == current
 
 
 def test_usage_error_exit_codes():
@@ -629,59 +545,34 @@ def test_unknown_class_exit_code():
 
 
 def test_persistence_error_exit_code(tmp_path):
+    # a --cache-dir that could hold no file is ignored like any other; an
+    # --out file that cannot be written is the persistence error
     bad = tmp_path / "not-a-dir-file"
     bad.write_text("occupied")
-    code, _, err = run_proc(
+    code, out, _ = run_proc(
         "omega-k", "--k", "1", "--x", "2.5", "--cache-dir", str(bad / "sub"),
     )
-    assert code == 4
+    assert (code, out) == (0, "1.40547\n")
+    code, out, err = run_proc("omega-k", "--k", "1", "--x", "2.5", "--out", str(bad / "f"))
+    assert (code, out) == (4, "") and "cannot write output" in err
 
 
 def test_corrupt_cache_file_exit_code_in_a_fresh_process(tmp_path):
-    # exit 4 must not rely on main having imported the store layer up front
+    # a process that finds a corrupt entry in --cache-dir does not read it
     args = ("omega-k", "--k", "1", "--x", "5.5", "--cache-dir", str(tmp_path))
-    code, fresh, _ = run_proc(*args)
-    assert code == 0 and fresh == "3.08803\n"
-    [entry] = tmp_path.glob("*.json")
+    entry = plant_entry(tmp_path)
     data = entry.read_bytes()
     at = data.index(b'\n[1,"') + len(b'\n[1,"')  # block 1's first coefficient
     flipped = b"2" if data[at:at + 1] != b"2" else b"3"
     entry.write_bytes(data[:at] + flipped + data[at + 1:])
-    code, out, err = run_proc(*args)
-    assert (code, out) == (4, "") and "checksum" in err
+    assert run_proc(*args)[:2] == (0, "3.08803\n")
+    assert list(tmp_path.iterdir()) == [entry]
 
 
 def test_empty_x_list_is_a_usage_error():
     # an empty --x-list is an error, not the default grid
     code, out, err = run_proc("omega-k-table", "--k", "1", "--x-list")
     assert (code, out) == (2, "") and "--x-list" in err
-
-
-def test_concurrent_writers_share_a_cache_directory(capsys, tmp_path):
-    # four processes, two per key, build and grow one cache directory at
-    # once: the last writer wins, and whichever entry is left is whole
-    argvs = [("omega-k", "--k", K, "--x", x)
-             for K in ("1", "0.5") for x in ("40.5", "300.5")]
-    expected = {argv: run_cli(capsys, *argv) for argv in argvs}
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "buchstab", *argv, "--cache-dir", str(tmp_path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        for argv in argvs
-    ]
-    for argv, proc in zip(argvs, procs):
-        out, err = proc.communicate(timeout=120)
-        assert (proc.returncode, out) == expected[argv], err
-    entries = sorted(tmp_path.glob("*.json"))
-    assert len(entries) == 2
-    ledgers = [load_artifact(e) for e in entries]
-    assert sorted(str(ledger.K) for ledger in ledgers) == ["0.5", "1"]
-    for ledger in ledgers:
-        assert ledger.built_through in (40, 300)
-        for n in range(1, ledger.built_through + 1):
-            ledger.block(n)
-    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,10 +5,12 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from buchstab.numerics import context, exp_neg_gamma
+from buchstab.numerics import context
 from buchstab.omega import LedgerRangeError, QuadratureConfig, build_omega_ledger, eval_omega
+from buchstab import omega_k
 from buchstab.omega_k import (
     MAX_BLOCK,
+    Expansion,
     OmegaBlock,
     OmegaKLedger,
     advance_omega_k,
@@ -20,6 +22,7 @@ from buchstab.omega_k import (
     series_over_binomial,
     table_values,
 )
+from oracles import OmegaKChain, exp_neg_gamma_100
 
 ONE_PLUS_LN2 = Decimal("1.693147180559945309417232121458")
 ONE_PLUS_LN32 = Decimal("1.405465108108164381978013115464")
@@ -99,6 +102,9 @@ def test_advance_derives_blocks_from_the_third_on():
 
 
 def test_concurrent_growth_keeps_block_order():
+    # four threads ask for block 120 at once: the chain grows once, in
+    # order, to the switch block, and every block is a sequential ledger's
+    sequential = OmegaKLedger("0.5")
     ledger = OmegaKLedger("0.5")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -111,8 +117,10 @@ def test_concurrent_growth_keeps_block_order():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert ledger.built_through == 120
-    assert [ledger.block(n).n for n in range(1, 121)] == list(range(1, 121))
+    sequential.ensure(120)
+    assert ledger.built_through == sequential.built_through == sequential.switch.n0 < 120
+    assert [ledger.block(n) for n in range(1, 121)] == \
+        [sequential.block(n) for n in range(1, 121)]
 
 
 def test_concurrent_reads_match_sequential_values():
@@ -120,6 +128,7 @@ def test_concurrent_reads_match_sequential_values():
     # get exactly the values a single thread gets
     ledger = build_omega_ledger(QuadratureConfig())
     ledger.ensure(200)
+    grown = ledger.built_through
     rng = random.Random(5)
     xs = [f"{rng.uniform(1, 41):.7f}" for _ in range(60)]
 
@@ -143,7 +152,7 @@ def test_concurrent_reads_match_sequential_values():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert ledger.built_through == 200
+    assert ledger.built_through == grown
     assert results == [[expected] * 5] * 4
 
 
@@ -243,7 +252,7 @@ def test_large_x_linear_growth_k1(ledger_k1):
     # x * omega(x) solves the same delay equation with the same start,
     # so Omega_1(x)/x approaches exp(-gamma)
     v = eval_omega_k(ledger_k1, 8192) / 8192
-    assert abs(v - exp_neg_gamma(30)) < Decimal("1e-8")
+    assert abs(v - exp_neg_gamma_100(30)) < Decimal("1e-8")
 
 
 def test_proportions(ledger_k1, ledger_k05):
@@ -318,3 +327,87 @@ def test_k_validation():
         OmegaKLedger(0)
     with pytest.raises(ValueError):
         seed_block2(-1)
+
+
+# The switch block of each (K, p): the first chain block the large-x
+# expansion fits within n 10^-p Omega_K(n).
+SWITCH_BLOCKS = {("0.25", 30): 23, ("0.5", 30): 23, ("1", 30): 19, ("2", 30): 22,
+                 ("0.5", 40): 30}
+
+
+@pytest.mark.parametrize("K, p", sorted(SWITCH_BLOCKS))
+def test_expansion_blocks_meet_a_finer_chain(K, p):
+    # blocks past the switch block come from the expansion: at 56 points of
+    # [n0, 8192] they meet a chain with 15 more digits within the stated bound
+    ledger = OmegaKLedger(K, p)
+    ledger.ensure(8192)
+    n0 = ledger.switch.n0
+    assert n0 == ledger.built_through == SWITCH_BLOCKS[K, p]
+    rng = random.Random(f"{K}/{p}")
+    xs = [f"{n0 + (8192 - n0) * (j / 55) ** 3:.6f}" for j in range(56)]
+    xs = [f"{min(float(x) + rng.random(), 8192.999):.6f}" for x in xs]
+    chain = OmegaKChain(K, p + 15)
+    with localcontext(context(p + 20)):
+        worst = max(abs(eval_omega_k(ledger, x) / chain.value(x) - 1) for x in xs)
+    assert worst <= ledger.switch.bound < Decimal(12 * n0).scaleb(-p)
+
+
+@pytest.mark.parametrize("K, p", sorted(SWITCH_BLOCKS))
+def test_expansion_joins_the_chain_at_the_switch_block(K, p):
+    ledger = OmegaKLedger(K, p)
+    ledger.ensure(200)
+    n0, ctx = ledger.switch.n0, context(p)
+    left = ledger.block(n0).eval(Decimal(1), ctx)
+    right = ledger.block(n0 + 1).eval(Decimal(-1), ctx)
+    assert abs(right / left - 1) <= ledger.switch.bound
+
+
+@pytest.mark.parametrize("K, a", [(1, [1]), (2, [1, 2]), (3, [1, 6, "7.5"])])
+def test_expansion_of_integer_k_stops(monkeypatch, K, a):
+    # a_n = 0 for n >= K, so S_J is exact (S = x, x^2 + 2x, x^3 + 6x^2 + 7.5x)
+    # and its residual vanishes; J = K - 1 keeps just those terms
+    exp = Expansion(Decimal(K), 30)
+    assert (exp.J, exp.a, exp.gamma) == (K - 1, [Decimal(c) for c in a], 0)
+    monkeypatch.setattr(omega_k, "_order", lambda K, p: p)
+    full = Expansion(Decimal(K), 30)
+    assert full.J == 30 and full.a[:K] == exp.a
+    assert all(c == 0 for c in full.a[K:]) and full.gamma == 0
+
+
+def test_fit_at_k1_is_the_moment_constants_slope(ledger_k1):
+    # the moment quadrature's tail constant a = 2 c1 and its bound M
+    eps = Decimal(1).scaleb(-30)
+    for n in (3, 10, 19, 40):
+        c = ledger_k1.block(n).coeffs
+        with localcontext(context(30)):
+            M = abs(c[0] - (2 * n + 1) * c[1]) + sum(map(abs, c[2:])) + abs(c[0]) * eps
+            assert Expansion(Decimal(1), 30).fit(ledger_k1.block(n)) == (2 * c[1], M)
+
+
+def test_threads_read_expansion_blocks_in_any_order():
+    # four threads read blocks past the switch block of one fresh ledger,
+    # each in its own shuffled order, and get the blocks a single thread gets
+    blocks = list(range(20, 400, 7)) + [8192]
+    alone = OmegaKLedger("0.5")
+    expected = {n: alone.block(n) for n in blocks}
+    ledger = OmegaKLedger("0.5")
+    results = [None] * 4
+
+    def read(slot):
+        order = blocks[:]
+        random.Random(slot).shuffle(order)
+        results[slot] = {n: ledger.block(n) for n in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
+    assert ledger.switch == alone.switch

@@ -70,15 +70,18 @@ def test_reloaded_omega_ledger_keeps_moment_constant(tmp_path):
 
 
 def test_omega_k_ledger_round_trip(tmp_path):
+    # the chain ends at its switch block, 23 for K = 1/2 at p = 30; the
+    # reloaded ledger makes the blocks past it as the saved one does
     ledger = OmegaKLedger("0.5")
     ledger.ensure(30)
-    before = str(eval_omega_k(ledger, "17.25"))
+    before = [str(eval_omega_k(ledger, x)) for x in ("17.25", "30.25")]
     path = tmp_path / "omk.json"
     save_artifact(ledger, path)
-    assert _read_entry(path)[0]["params"] == {"n_star": 30, "p": 30, "K": "0.5"}
+    assert _read_entry(path)[0]["params"] == {"n_star": 23, "p": 30, "K": "0.5"}
     reloaded = load_artifact(path)
-    assert reloaded.built_through == 30
-    assert str(eval_omega_k(reloaded, "17.25")) == before
+    assert reloaded.built_through == 23
+    assert [str(eval_omega_k(reloaded, x)) for x in ("17.25", "30.25")] == before
+    assert reloaded.switch == ledger.switch
     # save -> load -> save, and a second build from (K, p), give the same bytes
     again = OmegaKLedger("0.5")
     again.ensure(30)
@@ -241,17 +244,16 @@ def test_deeply_nested_json_is_corrupt(tmp_path):
     save_artifact(_omega_k_ledger(), path)
     header, lines = _read_entry(path)
     _write_entry(path, header, lines[:3] + [nested] + lines[4:])
-    ledger = load_artifact(path)
     with pytest.raises(CorruptArtifactError, match="line 4"):
-        ledger.block(4)
+        load_artifact(path)
     path.write_text(nested + "\n")
     with pytest.raises(CorruptArtifactError, match="not ASCII JSON"):
         load_artifact(path)
 
 
 def test_block_is_decoded_and_checked_on_first_read(tmp_path):
-    # a re-checksummed 20-block artifact with a NaN in block 3: a read
-    # that never touches block 3 gives the fresh digits, one that does fails
+    # a re-checksummed artifact with a NaN in block 3: the load decodes
+    # and checks every block, so it fails before any value is read
     ledger = OmegaKLedger(1)
     ledger.ensure(20)
     path = tmp_path / "omk.json"
@@ -261,10 +263,8 @@ def test_block_is_decoded_and_checked_on_first_read(tmp_path):
     record[1] = "NaN"
     lines[2] = json.dumps(record, separators=(",", ":"))
     _write_entry(path, header, lines)
-    reloaded = load_artifact(path)
-    assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
     with pytest.raises(CorruptArtifactError, match="block 3"):
-        eval_omega_k(reloaded, "3.5")
+        load_artifact(path)
 
 
 def test_reloaded_ledger_grows_from_its_decoded_last_block(tmp_path):
@@ -274,7 +274,8 @@ def test_reloaded_ledger_grows_from_its_decoded_last_block(tmp_path):
     save_artifact(ledger, path)
     reloaded = load_artifact(path)
     assert str(eval_omega_k(reloaded, "37.25")) == str(eval_omega_k(ledger, "37.25"))
-    assert reloaded.built_through == 37
+    # both chains grew to the switch block and made block 37 past it
+    assert reloaded.built_through == ledger.built_through == ledger.switch.n0 == 23
 
 
 def test_threads_share_an_undecoded_ledger(tmp_path):
@@ -306,13 +307,16 @@ def test_threads_share_an_undecoded_ledger(tmp_path):
 
 @pytest.mark.parametrize("K", ["1", "0.5"])
 def test_full_ledger_round_trip_is_byte_identical(tmp_path, K):
+    # a ledger read out to x = 8192 stores its chain, which ends at the
+    # switch block: blocks past it are made again from the expansion
     ledger = OmegaKLedger(K)
     ledger.ensure(8192)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_artifact(ledger, p1)
     save_artifact(load_artifact(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert len(p1.read_bytes().splitlines()) == 8193
+    assert len(p1.read_bytes().splitlines()) == ledger.switch.n0 + 1 == {"1": 20, "0.5": 24}[K]
+    assert load_artifact(p1).block(8192) == ledger.block(8192)
 
 
 def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
@@ -324,7 +328,7 @@ def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
     assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
     with pytest.raises(ValueError, match=f"limit {MAX_BLOCK}"):
         eval_omega_k(reloaded, MAX_BLOCK + 1)
-    assert reloaded.built_through == 20
+    assert reloaded.built_through == ledger.built_through
 
 
 def test_load_computes_no_block(tmp_path, monkeypatch):
@@ -343,40 +347,16 @@ def test_load_computes_no_block(tmp_path, monkeypatch):
         [ledger.block(n) for n in range(1, 21)]
 
 
-def test_cache_hit_and_miss(tmp_path):
-    cache = ArtifactCache(tmp_path / "cache")
-    ledger = _omega_k_ledger(6)
-    assert cache.lookup("0.5", 30) is None
-    cache.store(ledger)
-    hit = cache.lookup("0.5", 30)
-    assert hit is not None and hit.built_through == 6
-    assert str(eval_omega_k(hit, "5.5")) == str(eval_omega_k(ledger, "5.5"))
-    # one entry per (K, p): another precision or another K misses
-    assert cache.lookup("0.5", 31) is None
-    assert cache.lookup("0.25", 30) is None
-    # K keys by its value, not its spelling
-    assert cache.lookup("0.50", 30).built_through == 6
-    assert cache.lookup("5e-1", 30).built_through == 6
-
-
-def test_store_ignores_leftover_lock_file(tmp_path):
-    # a writer killed while storing leaves .lock behind; flock does not care
-    cache = ArtifactCache(tmp_path / "cache")
-    (tmp_path / "cache").mkdir()
-    (tmp_path / "cache" / ".lock").touch()
-    path = cache.store(_omega_k_ledger(5))
-    hit = cache.lookup("0.5", 30)
-    assert hit is not None
-    save_artifact(hit, tmp_path / "again.json")
-    with open(path, "rb") as fh:
-        assert (tmp_path / "again.json").read_bytes() == fh.read()
-
-
 def test_cache_list_and_clear(tmp_path):
+    # entries of the kinds the package wrote are listed and removed, other
+    # files are kept; nothing reads them
     cache = ArtifactCache(tmp_path / "cache")
-    cache.store(_omega_k_ledger(4))
-    cache.store(_omega_k_ledger(5))  # the same (K, p): replaces the first
-    cache.store(OmegaKLedger(1))
-    assert len(cache.entries()) == 2
+    assert cache.entries() == [] and cache.clear() == 0
+    (tmp_path / "cache").mkdir()
+    save_artifact(_omega_k_ledger(4), tmp_path / "cache" / "omega-k-ledger-a.json")
+    save_artifact(OmegaKLedger(1), tmp_path / "cache" / "omega-ledger-b.json")
+    (tmp_path / "cache" / "keep.json").write_text("{}\n")
+    assert cache.entries() == ["omega-k-ledger-a.json", "omega-ledger-b.json"]
     assert cache.clear() == 2
     assert cache.entries() == []
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["keep.json"]
