@@ -28,6 +28,7 @@ sum to n!.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -232,11 +233,12 @@ class MomentReport(NamedTuple):
 
 
 def distribution(table: CountTable, n: int) -> SmallestDistribution:
-    """P{X_n = k} = s(k, n) / n! as exact rationals summing to 1."""
+    """P{X_n = k} = s(k, n) / n! as exact rationals summing to 1; the
+    zero cells (about half of each row) share one Fraction."""
     table._require_permutations("distribution")
     table._check_n(n)
-    fn = table.factorial(n)
-    probs = tuple(Fraction(c, fn) for c in table.row(n))
+    fn, zero = table.factorial(n), Fraction(0)
+    probs = tuple(Fraction(c, fn) if c else zero for c in table.row(n))
     return SmallestDistribution(n, probs)
 
 
@@ -249,18 +251,25 @@ def tail_probability(table: CountTable, n: int, k: int) -> Fraction:
     return Fraction(table.suffix(n, k), table.factorial(n))
 
 
+def _variance(table: CountTable, n: int, p: int) -> Tuple[int, int, Fraction, Decimal]:
+    """(n! E[X_n], n! E[X_n^2], Var(X_n), Var(X_n)/n), the sums read off
+    the suffix row: sum_k k s(k, n) = sum_k T(k, n) and
+    sum_k k^2 s(k, n) = sum_k (2k-1) T(k, n)."""
+    suffix = table._suffix[n][1:n + 1]
+    s1 = sum(suffix)
+    s2 = sum(map(operator.mul, range(1, 2 * n, 2), suffix))
+    fn = table.factorial(n)
+    var = Fraction(fn * s2 - s1 * s1, fn * fn)
+    return s1, s2, var, rational_to_real(var / n, p)
+
+
 def variance(table: CountTable, n: int, *, p: int = DEFAULT_PRECISION) -> MomentReport:
     """Exact variance (n! * sum k^2 s - (sum k s)^2) / (n!)^2 of X_n."""
     table._require_permutations("variance")
     table._check_n(n)
-    row = table.row(n)
-    s1 = sum(k * c for k, c in enumerate(row, start=1))
-    s2 = sum(k * k * c for k, c in enumerate(row, start=1))
+    s1, s2, var, var_over_n = _variance(table, n, p)
     fn = table.factorial(n)
-    mean = Fraction(s1, fn)
-    second = Fraction(s2, fn)
-    var = Fraction(fn * s2 - s1 * s1, fn * fn)
-    return MomentReport(n, mean, second, var, rational_to_real(var / n, p))
+    return MomentReport(n, Fraction(s1, fn), Fraction(s2, fn), var, var_over_n)
 
 
 def variance_series(table: CountTable, *, p: int = DEFAULT_PRECISION
@@ -269,6 +278,6 @@ def variance_series(table: CountTable, *, p: int = DEFAULT_PRECISION
     table._require_permutations("variance_series")
     out = []
     for n in range(1, table.N + 1):
-        rep = variance(table, n, p=p)
-        out.append((n, rep.variance, rep.variance_over_n))
+        _, _, var, var_over_n = _variance(table, n, p)
+        out.append((n, var, var_over_n))
     return out

@@ -16,6 +16,7 @@ bit-identical digits.  Relative rounding error per operation is below
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Context, Decimal, InvalidOperation, Overflow
 from fractions import Fraction
@@ -44,6 +45,13 @@ def context(p: int) -> Context:
     return Context(prec=p)
 
 
+@functools.lru_cache(maxsize=None)
+def _reader(p: int) -> Context:
+    """A p-digit context shared by the conversions below, which only read
+    its precision; it is never returned, so no caller can change it."""
+    return context(p)
+
+
 def factorial(n: int) -> int:
     """n! as an exact integer; n must be a non-negative integer."""
     if n < 0:
@@ -65,7 +73,7 @@ def as_real(x, p: int = DEFAULT_PRECISION) -> Decimal:
     if isinstance(x, float):
         x = repr(x)
     try:
-        d = context(p).create_decimal(x)
+        d = _reader(p).create_decimal(x)
     except (InvalidOperation, Overflow):
         d = None
     if d is None or not d.is_finite():
@@ -81,5 +89,4 @@ def int_str(n: int) -> str:
 
 def rational_to_real(q: Fraction, p: int = DEFAULT_PRECISION) -> Decimal:
     """Correctly rounded Decimal value of an exact rational."""
-    ctx = context(p)
-    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+    return _reader(p).divide(Decimal(q.numerator), Decimal(q.denominator))

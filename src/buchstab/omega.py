@@ -71,7 +71,7 @@ def eval_omega(ledger: OmegaKLedger, x) -> Decimal:
     """omega(x) = Omega_1(x)/x for x >= 1 (blocks grown on demand)."""
     _require_k1(ledger)
     xd = as_real(x, ledger.p)
-    return context(ledger.p).divide(eval_omega_k(ledger, xd), xd)
+    return ledger._ctx.divide(eval_omega_k(ledger, xd), xd)
 
 
 def integrate_block(ledger: OmegaKLedger, n: int, moment_order: int = 2) -> Decimal:

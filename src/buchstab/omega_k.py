@@ -68,10 +68,11 @@ block's cut and rounding.  If no block up to ``MAX_BLOCK`` passes
 
 ``oracle_quadrature`` solves the defining integral equation directly by
 the method of steps with composite Simpson quadrature on a per-interval
-dyadic grid (unit-interval prefix integrals are memoized).  It never
-touches the Taylor blocks, so it serves as an independent oracle for
-them.  A naive point-recursive quadrature would cost O(3^x); the
-method-of-steps grid is linear in x and is what keeps x <= 30 cheap.
+dyadic grid, one unit interval after the other, holding only the grid
+rows of the current interval and the one before it.  It never touches
+the Taylor blocks, so it serves as an independent oracle for them.  A
+naive point-recursive quadrature would cost O(3^x); the method-of-steps
+grid is linear in x and is what keeps x <= 30 cheap.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from __future__ import annotations
 import math
 import threading
 from decimal import Context, Decimal, localcontext
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context
 
@@ -299,7 +300,9 @@ class OmegaKLedger:
     the chain must grow past it, and past the switch block, blocks from
     the large-x expansion, made as they are read.  No block beyond
     ``MAX_BLOCK`` is made, and made blocks are never mutated.  Growth
-    holds a lock, so threads may share a ledger; reads take none.
+    holds a lock, so threads may share a ledger; reads take none.  Of
+    the expansion blocks the ledger keeps only the last one made (a
+    remake costs well under a millisecond), so its memory is the chain's.
     """
 
     def __init__(self, K, p: int = DEFAULT_PRECISION, chain: Sequence[OmegaBlock] = ()):
@@ -307,11 +310,12 @@ class OmegaKLedger:
         ``store.load_artifact`` reads them); else the seed blocks."""
         self.K = as_real(K, p)
         self.p = p
+        self._ctx = context(p)  # for reads; never handed out, so never changed
         self._grow_lock = threading.Lock()
         self._blocks = [None] + list(chain or (seed_block1(), seed_block2(self.K, p)))
         self._tested = len(self._blocks) - 2  # the last block is not tested yet
         self._expansion: Optional[Expansion] = None
-        self._direct: Dict[int, OmegaBlock] = {}
+        self._direct: Optional[OmegaBlock] = None  # the last block made past n0
         self.switch: Optional[Switch] = None
 
     @property
@@ -319,27 +323,33 @@ class OmegaKLedger:
         """The last chain block."""
         return len(self._blocks) - 1
 
-    def ensure(self, n: int) -> None:
+    def ensure(self, n: int) -> OmegaBlock:
+        """Block n, grown or made if the ledger does not hold it."""
+        if n < 1:
+            raise LedgerRangeError(f"block index must be >= 1, got {n}")
         if n > MAX_BLOCK:
             raise LedgerRangeError(f"block {n} beyond the ledger limit {MAX_BLOCK}")
-        if n <= self.built_through or n in self._direct:
-            return
         with self._grow_lock:
-            while self.switch is None and self.built_through < n:
-                last = self._blocks[-1]
+            blocks = self._blocks
+            while self.switch is None and len(blocks) <= n:
+                last = blocks[-1]
                 if self._tested < last.n:
                     self._tested = last.n
                     self.switch = self._test(last)
                 else:
-                    self._blocks.append(advance_omega_k(last, self.K, self.p))
-            if n > self.built_through and n not in self._direct:
-                self._direct[n] = self._direct_block(n)
+                    blocks.append(advance_omega_k(last, self.K, self.p))
+            if n < len(blocks):
+                return blocks[n]
+            direct = self._direct
+            if direct is None or direct.n != n:
+                direct = self._direct = self._direct_block(n)
+            return direct
 
     def block(self, n: int) -> OmegaBlock:
-        if n < 1:
-            raise LedgerRangeError(f"block index must be >= 1, got {n}")
-        self.ensure(n)
-        return self._blocks[n] if n <= self.built_through else self._direct[n]
+        blocks, direct = self._blocks, self._direct
+        if 1 <= n < len(blocks):
+            return blocks[n]
+        return direct if direct is not None and direct.n == n else self.ensure(n)
 
     def _test(self, block: OmegaBlock) -> Optional[Switch]:
         """The switch at ``block`` if the expansion fits it within
@@ -379,9 +389,8 @@ def eval_omega_k(ledger: OmegaKLedger, x) -> Decimal:
     if xd >= MAX_BLOCK + 1:  # checked before int(xd), which may be huge
         raise LedgerRangeError(f"x = {xd} lies past the ledger limit {MAX_BLOCK}")
     n = int(xd)
-    block = ledger.block(n)
-    ctx = context(ledger.p)
-    return block.eval(ctx.subtract(ctx.multiply(2, ctx.subtract(xd, n)), 1), ctx)
+    ctx = ledger._ctx
+    return ledger.block(n).eval(ctx.subtract(ctx.multiply(2, ctx.subtract(xd, n)), 1), ctx)
 
 
 def proportion_large_smallest(ledger: OmegaKLedger, x) -> Decimal:
@@ -390,7 +399,7 @@ def proportion_large_smallest(ledger: OmegaKLedger, x) -> Decimal:
     xd = as_real(x, p)
     if xd <= 1:
         raise LedgerRangeError(f"proportion defined for x > 1, got {xd}")
-    return context(p).divide(Decimal(1), eval_omega_k(ledger, xd))
+    return ledger._ctx.divide(Decimal(1), eval_omega_k(ledger, xd))
 
 
 def table_values(ledger: OmegaKLedger, xs: Sequence) -> List[Tuple[Decimal, Decimal]]:
@@ -413,10 +422,11 @@ def oracle_quadrature(K, x, tol) -> Decimal:
     Method of steps: the integrand Omega_K(u-1)/(u-1) is tabulated on a
     dyadic grid of each unit interval, with grid level chosen from tol
     (composite-Simpson error O(h^4) plus the error amplification factor
-    of the integral recursion); unit-interval prefix integrals are
-    memoized, and the final partial cell is integrated via a cubic
-    through the four nearest grid values.  Requires 1 <= x <= 30 and
-    tol >= 1e-12.
+    of the integral recursion).  Rows 2..floor(x) are made in turn, each
+    from the one before, and only the last two are kept: the final
+    partial cell is integrated via a cubic through the four nearest grid
+    values of the integrand, which the row before the last gives.
+    Requires 1 <= x <= 30 and tol >= 1e-12.
     """
     tol_d = as_real(tol, DEFAULT_PRECISION)
     if tol_d < ORACLE_MIN_TOL:
@@ -444,21 +454,17 @@ def oracle_quadrature(K, x, tol) -> Decimal:
     cells = 1 << level
 
     with localcontext(ctx):
+        n = int(xf)
+        frac = as_real(x, p) - Decimal(n)
+        if n >= ORACLE_MAX_X:
+            n, frac = n - 1, frac + 1  # x == 30 lands on the last row's end
         step = Decimal(1) / Decimal(cells)
-
-        # omega_vals[m][j] = Omega_K(m + j/cells); prefix[m][j] = integral of
-        # f over [m, m + j/cells] with f(u) = Omega_K(u-1)/(u-1).
-        omega_rows: Dict[int, List[Decimal]] = {
-            1: [Decimal(1)] * (cells + 1)
-        }
-
-        def row(m: int) -> List[Decimal]:
-            got = omega_rows.get(m)
-            if got is not None:
-                return got
-            prev = row(m - 1)
-            base = prev[cells]
-            f = [prev[j] / (Decimal(m - 1) + Decimal(j) * step) for j in range(cells + 1)]
+        # vals[j] = Omega_K(m + j/cells) for m = 1, 2, ..., n in turn, prev
+        # the row before it: row m's integrand f(u) = Omega_K(u-1)/(u-1)
+        # is row m-1 over u-1, and only rows n-1 and n are read at the end
+        prev, vals = None, [Decimal(1)] * (cells + 1)
+        for m in range(2, n + 1):
+            f = [vals[j] / (Decimal(m - 1) + Decimal(j) * step) for j in range(cells + 1)]
             # prefix integrals: Simpson over even cell pairs, cubic cell for odd ends
             pref = [Decimal(0)] * (cells + 1)
             for j in range(2, cells + 1, 2):
@@ -471,15 +477,8 @@ def oracle_quadrature(K, x, tol) -> Decimal:
                 else:
                     cell = (9 * f[j - 1] + 19 * f[j] - 5 * f[j + 1] + f[j + 2]) / c24
                 pref[j] = pref[j - 1] + cell
-            vals = [base + Kd * pref[j] for j in range(cells + 1)]
-            omega_rows[m] = vals
-            return vals
+            prev, vals = vals, [vals[cells] + Kd * pref[j] for j in range(cells + 1)]
 
-        n = int(xf)
-        frac = as_real(x, p) - Decimal(n)
-        if n >= ORACLE_MAX_X:
-            n, frac = n - 1, frac + 1  # x == 30 lands on the last row's end
-        vals = row(n)
         if frac == 0:
             return +vals[0]
         # snap the fractional part to the dyadic lattice, then split into
@@ -490,13 +489,8 @@ def oracle_quadrature(K, x, tol) -> Decimal:
         if rem:
             t = Decimal(rem) / Decimal(1 << (_SNAP_BITS - level))  # in (0, 1)
             jj = min(max(j_full, 1), cells - 2)
-
-            base_row = row(n - 1)
-
-            def fv(idx: int) -> Decimal:
-                return base_row[idx] / (Decimal(n) + Decimal(idx) * step - 1)
-
-            f0, f1, f2, f3 = (fv(jj - 1), fv(jj), fv(jj + 1), fv(jj + 2))
+            f0, f1, f2, f3 = (prev[i] / (Decimal(n) + Decimal(i) * step - 1)
+                              for i in range(jj - 1, jj + 3))
             # Newton forward cubic based at node jj-1, integrated over
             # [j_full, j_full + t] cells
             d1 = f1 - f0

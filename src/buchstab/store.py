@@ -10,7 +10,9 @@ load/save round trip is byte-identical and a reloaded ledger gives the
 digits it gave before.  A load checks the version, the digest and the
 number of lines, then decodes every line and checks that it holds block
 n, finite decimal strings, at most one more than the line before.  The
-reloaded ledger goes on as the saved one would.
+reloaded ledger goes on as the saved one would.  ``hashlib``, which
+maps OpenSSL, is imported on the first save or load, not with the
+module: the cache commands compute no digest.
 
 The commands keep no cache: a ledger's chain ends at its switch block,
 a few dozen blocks that grow in milliseconds.  ``ArtifactCache`` lists
@@ -19,7 +21,6 @@ and clears the entries earlier versions wrote to a cache directory.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from decimal import Decimal, InvalidOperation
@@ -85,6 +86,8 @@ def _block_line(block: OmegaBlock) -> str:
 def save_artifact(ledger: OmegaKLedger, path) -> None:
     """Write the ledger's built blocks; the byte stream is canonical and
     reproducible."""
+    import hashlib  # loads OpenSSL: only a save or a load hashes
+
     n_star = ledger.built_through
     body = "".join(_block_line(ledger.block(n)) + "\n"
                    for n in range(1, n_star + 1)).encode("ascii")
@@ -105,6 +108,8 @@ def save_artifact(ledger: OmegaKLedger, path) -> None:
 def load_artifact(path) -> OmegaKLedger:
     """The ledger stored at ``path``, its block lines checked against the
     header's digest and n_star, and each block decoded and checked."""
+    import hashlib  # as in save_artifact
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -14,7 +14,7 @@ from buchstab.omega import (
     integrate_block,
     moment_constant,
 )
-from buchstab.omega_k import OmegaBlock, OmegaKLedger
+from buchstab.omega_k import OmegaBlock, OmegaKLedger, advance_omega_k
 from oracles import GAMMA_100, exp_neg_gamma_100, moment_constant_reference
 
 # Reference values frozen from independent high-precision quadrature of
@@ -153,6 +153,45 @@ def test_selberg_band(ledger):
     xs += [Decimal(n) for n in range(5, 21)]
     for x in xs:
         assert abs(eval_omega(ledger, x) - egamma) < Decimal("1e-4"), x
+
+
+def dickman_blocks(p: int, last: int):
+    """Blocks 1..last of Omega_{-1}(x) = rho(x - 1), the Dickman function:
+    block 2 from 1 - ln(x-1) on [2, 3), as ``seed_block2`` builds it for
+    K > 0, and the rest by the package's advance at K = -1."""
+    with localcontext(context(p)):
+        coeffs = [1 - (Decimal(3) / 2).ln()]
+        i = 1
+        while Decimal(1) / (i * Decimal(3) ** i) >= Decimal(1).scaleb(-p):
+            coeffs.append(Decimal((-1) ** i) / (i * Decimal(3) ** i))
+            i += 1
+    blocks = [OmegaBlock(1, (Decimal(1),)), OmegaBlock(2, tuple(coeffs))]
+    while len(blocks) < last:
+        blocks.append(advance_omega_k(blocks[-1], -1, p))
+    return blocks
+
+
+def test_dickman_rho_and_the_omega_deviation_bound():
+    # rho(u) = Omega_{-1}(u + 1); Tenenbaum (III.6) bounds omega by it:
+    # |omega(u) - exp(-gamma)| <= rho(u - 1)/u for u >= 1
+    p = 60
+    blocks = dickman_blocks(p, 25)
+    ctx = context(p)
+
+    def rho(u):
+        x = ctx.add(ctx.create_decimal(u), 1)
+        n = int(x)
+        return blocks[n - 1].eval(ctx.subtract(ctx.multiply(2, x - n), 1), ctx)
+
+    ten = context(10).plus  # the tabulated values, to 10 significant digits
+    assert ten(Decimal("2.77017183772596e-11")) == ten(rho(10))
+    assert ten(Decimal("2.46178282876492e-29")) == ten(rho(20))
+    ledger = build_omega_ledger(QuadratureConfig(p))
+    egamma = exp_neg_gamma_100(p)
+    with localcontext(ctx):
+        for j in range(240):  # u = 1.1, 1.2, ..., 25
+            u = Decimal("1.1") + Decimal(j) / 10
+            assert abs(eval_omega(ledger, u) - egamma) <= rho(u - 1) / u, u
 
 
 def test_delay_equation_residual(ledger):

@@ -411,3 +411,34 @@ def test_threads_read_expansion_blocks_in_any_order():
         sys.setswitchinterval(interval)
     assert results == [expected] * 4
     assert ledger.switch == alone.switch
+
+
+def test_threads_read_far_values_through_one_expansion_slot():
+    # a ledger keeps one expansion block, so four threads reading shuffled
+    # x past the switch block replace it under each other's reads: each
+    # must still get the value a single thread gets
+    rng = random.Random(11)
+    xs = [f"{rng.uniform(30, 8000):.6f}" for _ in range(60)]
+    alone = OmegaKLedger("0.5")
+    expected = {x: eval_omega_k(alone, x) for x in xs}
+    ledger = OmegaKLedger("0.5")
+    ledger.ensure(30)
+    results = [None] * 4
+
+    def read(slot):
+        order = xs * 3
+        random.Random(slot).shuffle(order)
+        results[slot] = [x for x in order if eval_omega_k(ledger, x) != expected[x]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[]] * 4
