@@ -16,11 +16,13 @@ Each subcommand accepts only the options it reads, except that every
 command but ``cache`` accepts ``--cache-dir`` and ignores it: each one
 builds the table or ledger it reads.  A command that prints reals works
 at ``max(DEFAULT_PRECISION, digits + GUARD_DIGITS)`` decimal digits, so
-each of its ``--digits`` printed digits is right.
+each of its ``--digits`` printed digits is right; ``--digits`` is at most
+``MAX_DIGITS``.
 
 Every command is a pure function of its arguments: repeated runs emit
 byte-identical output.  Exit codes: 0 success, 2 usage error, 3 resource
-cap, 4 persistence error (an ``--out`` file or a cache entry that cannot
+cap (a count table past the memory cap, ``--digits`` past ``MAX_DIGITS``),
+4 persistence error (an ``--out`` file or a cache entry that cannot
 be written or removed).
 """
 
@@ -45,13 +47,17 @@ DEFAULT_DIGITS = 6
 # one spare: ceil(log10(MAX_BLOCK)) + 1, a literal so that this module
 # does not import omega_k.
 GUARD_DIGITS = 6
+# The cost of a command grows steeply with its working precision: at 300
+# digits the slowest, ``constant``, takes ~0.8 s on a 2-core Xeon, and
+# ~1.8 s at 400.
+MAX_DIGITS = 300
 
 
 def format_real(value: Decimal, digits: int = DEFAULT_DIGITS) -> str:
     """Fixed significant-digit positional rendering (trailing zeros kept),
     with the exponent taken after rounding (0.9999996 -> 1.00000)."""
     if value == 0:
-        return "0." + "0" * (digits - 1)
+        return "0." + "0" * (digits - 1) if digits > 1 else "0"
     ctx = Context(prec=digits)  # round half even
     q = ctx.plus(value)
     return f"{ctx.quantize(q, Decimal(1).scaleb(q.adjusted() - digits + 1)):f}"
@@ -215,6 +221,10 @@ class UsageError(ValueError):
     pass
 
 
+class DigitsCapError(Exception):
+    exit_code = 3  # the resource-cap status, as for the count-table memory cap
+
+
 def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
                  reals: bool = True, cache: bool = False) -> None:
     """The output options a subcommand reads."""
@@ -225,9 +235,9 @@ def _add_options(parser: argparse.ArgumentParser, *, table: bool = True,
                         help="write output to PATH instead of stdout")
     if reals:
         parser.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                            help=f"significant digits for real values, worked "
-                                 f"at max({DEFAULT_PRECISION}, digits + "
-                                 f"{GUARD_DIGITS}) (default {DEFAULT_DIGITS})")
+                            help=f"significant digits for real values, at most "
+                                 f"{MAX_DIGITS}, worked at max({DEFAULT_PRECISION}, "
+                                 f"digits + {GUARD_DIGITS}) (default {DEFAULT_DIGITS})")
     parser.add_argument("--cache-dir", metavar="DIR", default=None, required=cache,
                         help="the cache directory" if cache else
                         "accepted and ignored: the command builds what it reads")
@@ -303,6 +313,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "digits" in args:
             if args.digits < 1:
                 raise UsageError(f"--digits {args.digits} is below 1")
+            if args.digits > MAX_DIGITS:
+                raise DigitsCapError(f"--digits {args.digits} exceeds the cap of "
+                                     f"{MAX_DIGITS} digits")
             args.precision = max(DEFAULT_PRECISION, args.digits + GUARD_DIGITS)
         return args.func(args)
     except Exception as exc:

@@ -17,8 +17,13 @@ Analytic Combinatorics, ch. II), which gives one column at a time
 
 with T(1, n) = n!.  The falling factorial (n-1)!/(n-k)! is carried
 down the column, so each cell costs O(1) big-integer operations.
-Derangements are permutations without 1-cycles: their table is the
-permutation table with suffix column 1 replaced by column 2.
+
+These rows form one class-free triangle per size N, the K = 1 triangle.
+A component class is a column floor over it: the class whose components
+all have at least m elements counts T(max(k, m), n) objects of size n
+with every component >= k, so column k < m reads column m.  Derangements
+(m = 2) are the permutation triangle with column 1 read as column 2.
+Every live table of size N reads the same triangle, whatever its class.
 
 Structural facts used as invariants: s(n, n) = (n-1)! for every allowed
 n, s(k, n) = 0 for floor(n/2)+1 <= k <= n-1, and for permutations rows
@@ -29,6 +34,8 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+import weakref
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -62,17 +69,19 @@ class MemoryCapError(MemoryError):
 
 
 class ComponentClass(NamedTuple("ComponentClass", [("name", str), ("smallest", int)])):
-    """Permutations whose cycles all have at least ``smallest`` elements.
+    """Permutations whose cycles all have at least ``smallest`` elements:
+    a column floor over the K = 1 triangle, whose suffix column k reads
+    column ``max(k, smallest)``.
 
-    There are c_k = (k-1)! components of each allowed size k.  Only
-    permutations (smallest = 1) carry probability semantics (rows sum to
-    n!); derangements (smallest = 2) yield raw counts only.
+    There are c_k = (k-1)! components of each allowed size k.  Only a
+    class with floor 1, whose rows sum to n!, carries probability
+    semantics; derangements (smallest = 2) yield raw counts only.
     """
 
     __slots__ = ()
 
     def __new__(cls, name: str, smallest: int):
-        if smallest not in (1, 2):  # build_table fills column 1 for these only
+        if smallest not in (1, 2):  # every row n >= 1 holds columns 1 and 2
             raise ValueError(f"smallest component size must be 1 or 2, "
                              f"got {smallest}")
         return super().__new__(cls, name, smallest)
@@ -113,71 +122,116 @@ def estimate_table_bytes(N: int, cap: int) -> int:
     return total
 
 
-class CountTable:
-    """Triangular table of exact smallest-component counts up to size N.
+class _Triangle:
+    """The class-free suffix triangle up to size N: ``rows[n][k]`` is
+    T(k, n) for k = 1..n+1 (entry 0 unused), ``fact[n]`` is n!."""
 
-    Rows are stored as suffix sums; ``cell``/``row`` difference adjacent
-    entries.  Instances are immutable after construction and safe to
+    __slots__ = ("rows", "fact", "__weakref__")
+
+    def __init__(self, rows: List[List[int]], fact: List[int]):
+        self.rows = rows
+        self.fact = fact
+
+
+# The triangles of live tables.  A table holds its triangle, so one lives
+# as long as any table of its size; then it is freed and its entry goes.
+# The key is the triangle's only parameter, N; a recurrence with a factor
+# K would key it by (K, N).
+_TRIANGLES: weakref.WeakValueDictionary[int, _Triangle] = weakref.WeakValueDictionary()
+_TRIANGLES_LOCK = threading.Lock()
+
+
+class CountTable:
+    """Triangular table of exact smallest-component counts up to size N:
+    a class's view of the shared suffix triangle of size N.
+
+    Suffix column k reads triangle column ``max(k, klass.smallest)``;
+    ``cell``/``row`` difference adjacent entries.  Instances and the
+    triangle they read are immutable after construction and safe to
     share between threads.
     """
 
-    def __init__(self, klass: ComponentClass, N: int, suffix_rows: List[List[int]],
-                 factorials: List[int]):
+    def __init__(self, klass: ComponentClass, N: int, triangle: _Triangle):
         self.klass = klass
         self.N = N
-        self._suffix = suffix_rows
-        self._fact = factorials
+        self._triangle = triangle  # keeps the shared triangle alive
+        self._rows = triangle.rows
+        self._floor = klass.smallest
 
     def suffix(self, n: int, k: int) -> int:
         """sum_{j>=k} s(j, n) for 1 <= k <= n+1."""
         self._check_n(n)
         if not 1 <= k <= n + 1:
             raise IndexError(f"k={k} out of range 1..{n + 1}")
-        return self._suffix[n][k]
+        return self._rows[n][max(k, self._floor)]
 
     def cell(self, n: int, k: int) -> int:
         """s(k, n): objects of size n with smallest component exactly k."""
         self._check_n(n)
         if not 1 <= k <= n:
             raise IndexError(f"k={k} out of range 1..{n}")
-        row = self._suffix[n]
+        if k < self._floor:
+            return 0
+        row = self._rows[n]
         return row[k] - row[k + 1]
 
     def row(self, n: int) -> List[int]:
         """[s(1, n), ..., s(n, n)]."""
         self._check_n(n)
-        row = self._suffix[n]
-        return [row[k] - row[k + 1] for k in range(1, n + 1)]
+        row, floor = self._rows[n], self._floor
+        return [0] * (floor - 1) + list(map(operator.sub, row[floor:n + 1], row[floor + 1:]))
 
     def total(self, n: int) -> int:
         """Number of objects of size n (n! for permutations)."""
         self._check_n(n)
-        return self._suffix[n][1]
+        return self._rows[n][self._floor]
 
     def factorial(self, n: int) -> int:
-        return self._fact[n]
+        return self._triangle.fact[n]
 
     def _check_n(self, n: int) -> None:
         if not 1 <= n <= self.N:
             raise IndexError(f"n={n} out of range 1..{self.N}")
 
     def _require_permutations(self, what: str) -> None:
-        if self.klass.name != PERMUTATIONS.name:
+        if self._floor != 1:
             raise ValueError(
-                f"{what} is defined only for the permutations class "
-                f"(probability normalisation by n!), not {self.klass.name!r}"
+                f"{what} is defined only for a class with smallest component 1 "
+                f"(probability normalisation by n!), not {self.klass.name!r} "
+                f"with smallest component {self._floor}"
             )
 
 
-def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100) -> CountTable:
-    """Build the exact count table for sizes 1..N.
+def _build_triangle(N: int) -> _Triangle:
+    """Fill suffix column k = 2..N by the column recurrence of the module
+    docstring, one big-integer step per cell, and write each entry into
+    the row triangle, whose column 1 is n!.  Entries with k <= n < 2k
+    count single n-cycles and are (n-1)!, so they share the factorial
+    integers, as column 1 does."""
+    fact = [1] * (N + 1)
+    for j in range(1, N + 1):
+        fact[j] = fact[j - 1] * j
 
-    Fills suffix column k = 2..N by the column recurrence of the module
-    docstring, one big-integer step per cell, and writes each entry into
-    the row triangle.  Entries with k <= n < 2k count single n-cycles and
-    are (n-1)!, so they share the factorial integers.  Suffix entry 1 is
-    n! for permutations and the column-2 entry T(2, n) for derangements.
-    A finished table is immutable.  Raises MemoryCapError when the size
+    rows: List[List[int]] = [[]] + [[0, fact[n]] + [0] * n for n in range(1, N + 1)]
+    for k in range(2, N + 1):
+        # a single n-cycle for k <= n < 2k: T(k, n) = (n-1)!
+        col = [1] + [0] * (k - 1) + fact[k - 1:min(2 * k - 1, N)]
+        ff = math.perm(2 * k - 1, k - 1)  # (n-1)!/(n-k)! at n = 2k
+        for n in range(2 * k, N + 1):
+            col.append((n - 1) * col[n - 1] + ff * col[n - k])
+            ff = ff * n // (n + 1 - k)
+        for n in range(k, N + 1):
+            rows[n][k] = col[n]
+    return _Triangle(rows, fact)
+
+
+def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100) -> CountTable:
+    """The exact count table of ``klass`` for sizes 1..N.
+
+    The table is a view of the size-N suffix triangle, which is built
+    only when no live table of size N already holds one, so tables of
+    several classes at one size share one build and its memory.  A
+    finished table is immutable.  Raises MemoryCapError when the size
     estimate exceeds ``MEMORY_CAP`` bytes.
     """
     if N < 1:
@@ -188,26 +242,11 @@ def build_table(klass: ComponentClass = PERMUTATIONS, N: int = 100) -> CountTabl
             f"estimated table size of at least {est / 2**20:.0f} MiB exceeds cap "
             f"{MEMORY_CAP / 2**20:.0f} MiB (N={N})"
         )
-
-    fact = [1] * (N + 1)
-    for j in range(1, N + 1):
-        fact[j] = fact[j - 1] * j
-
-    suffix_rows: List[List[int]] = [[]] + [[0] * (n + 2) for n in range(1, N + 1)]
-    for k in range(2, N + 1):
-        # a single n-cycle for k <= n < 2k: T(k, n) = (n-1)!
-        col = [1] + [0] * (k - 1) + fact[k - 1:min(2 * k - 1, N)]
-        ff = math.perm(2 * k - 1, k - 1)  # (n-1)!/(n-k)! at n = 2k
-        for n in range(2 * k, N + 1):
-            col.append((n - 1) * col[n - 1] + ff * col[n - k])
-            ff = ff * n // (n + 1 - k)
-        for n in range(k, N + 1):
-            suffix_rows[n][k] = col[n]
-    for n in range(1, N + 1):
-        row = suffix_rows[n]
-        row[0] = row[1] = fact[n] if klass.smallest == 1 else row[2]
-
-    return CountTable(klass, N, suffix_rows, fact)
+    with _TRIANGLES_LOCK:
+        triangle = _TRIANGLES.get(N)
+        if triangle is None:
+            triangle = _TRIANGLES[N] = _build_triangle(N)
+    return CountTable(klass, N, triangle)
 
 
 class SmallestDistribution(NamedTuple):
@@ -255,7 +294,7 @@ def _variance(table: CountTable, n: int, p: int) -> Tuple[int, int, Fraction, De
     """(n! E[X_n], n! E[X_n^2], Var(X_n), Var(X_n)/n), the sums read off
     the suffix row: sum_k k s(k, n) = sum_k T(k, n) and
     sum_k k^2 s(k, n) = sum_k (2k-1) T(k, n)."""
-    suffix = table._suffix[n][1:n + 1]
+    suffix = table._rows[n][1:n + 1]
     s1 = sum(suffix)
     s2 = sum(map(operator.mul, range(1, 2 * n, 2), suffix))
     fn = table.factorial(n)

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from buchstab.cli import GUARD_DIGITS, format_rational, format_real, main
+from buchstab.cli import GUARD_DIGITS, MAX_DIGITS, format_rational, format_real, main
 from buchstab.numerics import context
 from buchstab.omega_k import MAX_BLOCK, OmegaKLedger
 from buchstab.store import save_artifact
@@ -334,6 +334,17 @@ def test_format_real_carries_into_next_power_of_ten():
     assert format_real(Decimal("9.9999996")) == "10.0000"
 
 
+def test_format_real_renders_zero_like_other_values():
+    # at one digit no value has a decimal point, zero included
+    assert [format_real(Decimal(v), 1) for v in ("0", "7", "0.2")] == ["0", "7", "0.2"]
+    assert format_real(Decimal(0), 3) == "0.00"
+
+
+def test_variance_series_at_one_digit(capsys):
+    assert run_cli(capsys, "variance-series", "--n", "2", "--digits", "1") == (
+        0, "n,variance,variance_over_n\n1,0,0\n2,1/4,0.1\n")
+
+
 def test_format_rational_beyond_int_string_limit():
     # str(int) refuses more than 4300 digits on CPython 3.11+
     assert format_rational(Fraction(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
@@ -370,9 +381,29 @@ def test_digits_are_checked_on_every_command_that_prints_reals(capsys, argv):
     assert "--digits 0 is below 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("variance-series", "--n", "3"),
+    ("constant",),
+    ("omega", "--x", "5"),
+    ("omega-k", "--k", "1", "--x", "5"),
+    ("omega-k-table", "--k", "1", "--x-list", "3"),
+])
+def test_digits_past_the_cap_exit_3_before_any_work(capsys, argv):
+    assert main([*argv, "--digits", str(MAX_DIGITS + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --digits {MAX_DIGITS + 1} exceeds the cap of "
+                            f"{MAX_DIGITS} digits\n")
+
+
+def test_digits_at_the_cap_are_printed(capsys):
+    code, out = run_cli(capsys, "variance-series", "--n", "2", "--digits", str(MAX_DIGITS))
+    assert code == 0 and out.splitlines()[-1] == "2,1/4,0.125" + "0" * (MAX_DIGITS - 3)
+
+
 def test_constant_digits_past_fifty_are_printed(capsys):
     # the quadrature's tail reads its constant off the ledger, not off a
-    # 50-digit gamma literal, so --digits has no ceiling there; the value
+    # 50-digit gamma literal, so only MAX_DIGITS bounds --digits; the value
     # agrees with a reference of blocks to 200 and a 100-digit gamma
     code, out = run_cli(capsys, "constant", "--digits", "60")
     assert code == 0

@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -127,6 +131,46 @@ def test_probability_ops_require_permutations():
         distribution(t, 5)
     with pytest.raises(ValueError):
         variance(t, 5)
+
+
+def test_probability_ops_read_the_floor_not_the_name():
+    # a class named "permutations" with floor 2 counts derangements, whose
+    # rows do not sum to n!; a class with floor 1 is the permutation class
+    with pytest.raises(ValueError):
+        distribution(build_table(ComponentClass("permutations", 2), 6), 6)
+    perms = build_table(ComponentClass("perms", 1), 6)
+    assert distribution(perms, 6) == distribution(build_table(PERMUTATIONS, 6), 6)
+    assert tail_probability(perms, 6, 2) == tail_probability(build_table(PERMUTATIONS, 6), 6, 2)
+    assert variance(perms, 6) == variance(build_table(PERMUTATIONS, 6), 6)
+
+
+def test_tables_built_concurrently_match_a_single_thread_build():
+    # the triangle map is shared state: four threads build tables of both
+    # classes at one size, in shuffled order; every table reads right, and
+    # all of them read the one triangle a single build made
+    N = 150
+    want = {klass: [build_table(klass, N).row(n) for n in range(1, N + 1)]
+            for klass in (PERMUTATIONS, DERANGEMENTS)}
+    jobs = [PERMUTATIONS, DERANGEMENTS] * 8
+    random.Random(5).shuffle(jobs)
+    barrier = threading.Barrier(4)
+
+    def build(chunk):
+        barrier.wait(timeout=60)
+        return [(klass, build_table(klass, N)) for klass in chunk]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            chunks = pool.map(build, [jobs[i::4] for i in range(4)], timeout=120)
+            built = [t for chunk in chunks for t in chunk]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == len(jobs)
+    assert len({id(table._triangle) for _, table in built}) == 1
+    for klass, table in built:
+        assert [table.row(n) for n in range(1, N + 1)] == want[klass]
 
 
 def test_distribution_examples(table40):

@@ -2,19 +2,21 @@
 
 Importing the layers maps no OpenSSL, a call leaves no reference cycle
 for the collector (Decimals are not tracked by it, so cyclic garbage
-full of them can outlive several calls), and a ledger keeps one block
-made from the large-x expansion, not one per block read.
+full of them can outlive several calls), a ledger keeps one block made
+from the large-x expansion, not one per block read, and count tables of
+one size share one triangle, freed with the last of them.
 """
 
 import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import buchstab
-from buchstab.counts import PERMUTATIONS, build_table, distribution
+from buchstab.counts import DERANGEMENTS, PERMUTATIONS, build_table, distribution
 from buchstab.omega import build_omega_ledger, moment_constant
 from buchstab.omega_k import OmegaBlock, OmegaKLedger, eval_omega_k, oracle_quadrature
 
@@ -76,3 +78,37 @@ def test_a_ledger_holds_one_expansion_block():
     n0 = ledger.switch.n0
     assert n0 < 20
     assert sorted(held_block_indices(ledger)) == list(range(1, n0 + 1)) + [2019]
+
+
+def traced_bytes(build):
+    """(result of build(), bytes it left allocated), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_second_class_of_one_size_shares_the_triangle():
+    perm, first = traced_bytes(lambda: build_table(PERMUTATIONS, 200))
+    der, second = traced_bytes(lambda: build_table(DERANGEMENTS, 200))
+    assert der.row(200)[1:] == perm.row(200)[1:]
+    assert second < 0.05 * first, (first, second)
+
+
+def test_the_triangle_is_freed_with_the_last_table_of_its_size():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        perm = build_table(PERMUTATIONS, 200)
+        der = build_table(DERANGEMENTS, 200)
+        held = tracemalloc.get_traced_memory()[0] - before
+        del perm
+        assert tracemalloc.get_traced_memory()[0] - before > 0.95 * held  # der holds it
+        del der
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 0.01 * held, (held, left)
