@@ -43,9 +43,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 DEFAULT_DIGITS = 6
-# The digits a chain grown to omega_k.MAX_BLOCK loses to rounding, plus
-# one spare: ceil(log10(MAX_BLOCK)) + 1, a literal so that this module
-# does not import omega_k.
+# The digits a value loses to rounding, with two spare.  Every ledger
+# switches to the large-x expansion at a block n0 (at most 80 for
+# p <= 60, 278 at p = 306), and its values lie within Switch.bound of
+# Omega_K, about (n0 + 2) 10^(1-p) relative: at most 300 10^(1-p), so
+# under 3.5 digits.  A literal, so that this module does not import omega_k.
 GUARD_DIGITS = 6
 # The cost of a command grows steeply with its working precision: at 300
 # digits the slowest, ``constant``, takes ~0.8 s on a 2-core Xeon, and

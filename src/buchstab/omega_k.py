@@ -40,8 +40,10 @@ the chain, whose rounding grows with its length.  Take
 
 so that S_J' matches K S_J(x-1)/(x-1) through x^(K-1-J).  For integer K,
 a_n = 0 for n >= K (S = x at K = 1, x^2 + 2x at K = 2): J = K - 1 there,
-else J = p.  For any A, R = Omega_K - A S_J solves R'(x) = K R(x-1)/(x-1)
-+ f(x) with f = A (K S_J(x-1)/(x-1) - S_J'(x)) = A sum_{m>J} g_m x^(K-1-m),
+and the residual below vanishes.  Else J = p + ceil(K), so that J + 1 > K
+and the residual falls at least like n^-(p+1).  For any A,
+R = Omega_K - A S_J solves R'(x) = K R(x-1)/(x-1) + f(x) with
+f = A (K S_J(x-1)/(x-1) - S_J'(x)) = A sum_{m>J} g_m x^(K-1-m),
 g_m = K sum_{j<=J} (-1)^(m-j) C(K-j-1, m-j) a_j.  Let M0 = sup |R| on
 block n0 and F = integral_{n0+1}^inf |f|.  y = (M0 + F) Omega_K/Omega_K(n0)
 solves the homogeneous equation, y -+ R >= F on block n0, and beyond it
@@ -57,14 +59,21 @@ i > K shrink at least (i+J+1)/((i+1) m) times a step.  ``fit`` reads
 A = c1/s1 off a block, s_i = h^K u_i m^-i, and bounds M0 by the block's
 cut 10^-p |c0|, sum_{i != 1} |c_i - A s_i| and the terms past the last
 u_i; at K = 1 these are a = 2 c1 and the M of ``moment_constant``.
+Since u_1 is about K u_0, the j terms of u are dropped against
+min(1, K) 10^-p |u_0|, so a small K reads A to p digits too.  Below
+K ~ 10^-p the chain's blocks are cut to their constant c0, and ``fit``
+reads A = c0/s0 instead, with sum_{i != 0} |c_i - A s_i| in M0.
 n0 is the first block, tested when the chain must grow past it, with
 M0 + F < n0 10^-p Omega_K(n0): the rounding the chain carries by then,
-below which no fit tells better.  Block n > n0 is A h^K sum_i u_i (z/m)^i,
-cut like a chain block; ``Switch.bound`` states its relative error as
-(M0 + F)/Omega_K(n0) plus (n0 + 2) 10^(1-p) for the rounding block n0
-carries (the allowance ``moment_constant`` states) and the direct
-block's cut and rounding.  If no block up to ``MAX_BLOCK`` passes
-(K > p + 1, say), the chain grows as before.
+below which no fit tells better.  Every K in (0, ``MAX_K``] finds one,
+about where n0 > J/2 allows: measured, n0 is 11-80 for p in [20, 60]
+(at p = 30: 16 for K <= 0.001, 19-23 for K in [1/4, 2], 48 at K = 63.5)
+and at most 278 at p = 306.  Block n > n0 is A h^K sum_i u_i (z/m)^i,
+cut like a chain block, with n an integral Decimal of any size, so a
+huge x costs one such block.  ``Switch.bound`` states its relative error
+as (M0 + F)/Omega_K(n0) plus (n0 + 2) 10^(1-p) for the rounding block
+n0 carries (the allowance ``moment_constant`` states) and the direct
+block's cut and rounding.
 
 ``oracle_quadrature`` solves the defining integral equation directly by
 the method of steps with composite Simpson quadrature on a per-interval
@@ -79,7 +88,7 @@ from __future__ import annotations
 
 import math
 import threading
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, Overflow, localcontext
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import DEFAULT_PRECISION, as_real, context
@@ -97,7 +106,7 @@ __all__ = [
     "oracle_quadrature",
     "table_values",
     "PAPER_TABLE_GRID",
-    "MAX_BLOCK",
+    "MAX_K",
 ]
 
 # Reference evaluation grid used by the table command: 1..10 and the
@@ -106,7 +115,10 @@ PAPER_TABLE_GRID: Tuple[int, ...] = tuple(range(1, 11)) + tuple(
     2 ** e for e in range(4, 14)
 )
 
-MAX_BLOCK = 16384  # the last block a ledger makes: a huge x cannot grow it forever
+# The largest class parameter a ledger takes: the expansion costs O(J^2)
+# with J = p + ceil(K), and the switch block n0 > J/2.  K = 63.5 at
+# p = 306 builds in about 0.7 s on a 2-core Xeon.
+MAX_K = 64
 
 
 class LedgerRangeError(ValueError):
@@ -114,7 +126,8 @@ class LedgerRangeError(ValueError):
 
 
 class OmegaBlock(NamedTuple):
-    """Taylor coefficients on [n, n+1) in z = 2(x-n) - 1."""
+    """Taylor coefficients on [n, n+1) in z = 2(x-n) - 1.  A block made
+    past the switch block may carry n as an integral Decimal."""
 
     n: int
     coeffs: Tuple[Decimal, ...]
@@ -157,6 +170,17 @@ def series_over_binomial(coeffs: Sequence[Decimal], r: Decimal, m: int,
     return out
 
 
+def _class_parameter(K, p: int) -> Decimal:
+    """K as a p-digit Decimal, checked to lie in the ledger's domain
+    (0, ``MAX_K``]."""
+    Kd = as_real(K, p)
+    if Kd <= 0:
+        raise ValueError(f"class parameter K must be > 0, got {Kd}")
+    if Kd > MAX_K:
+        raise ValueError(f"class parameter K must be <= {MAX_K}, got {Kd}")
+    return Kd
+
+
 def seed_block1() -> OmegaBlock:
     """Block 1: Omega_K = 1 on [1, 2), exactly."""
     return OmegaBlock(1, (Decimal(1),))
@@ -170,9 +194,7 @@ def seed_block2(K, p: int = DEFAULT_PRECISION) -> OmegaBlock:
     bound 3K/(2 i 3^i) on the terms from i on is below 10^-p c_0.
     """
     ctx = context(p)
-    Kd = as_real(K, p)
-    if Kd <= 0:
-        raise ValueError(f"class parameter K must be > 0, got {Kd}")
+    Kd = _class_parameter(K, p)
     with localcontext(ctx):
         c0 = 1 + Kd * (Decimal(3) / Decimal(2)).ln()
         limit = c0.scaleb(-p)
@@ -201,15 +223,21 @@ def advance_omega_k(prev: OmegaBlock, K, p: int = DEFAULT_PRECISION) -> OmegaBlo
         coeffs = [s_prev - Kd / m * s_alpha]
         coeffs += [Kd * a / (m * i) for i, a in enumerate(alpha, start=1)]
         # alpha is geometric in -1/m past alpha_{L-1}: coefficients i > L total
-        # at most K |alpha_{L-1}| / (m (L+1) (m-1)), and so do the terms c0 omits
-        tail = 2 * Kd * abs(alpha[L - 1]) / (m * (L + 1) * (m - 1))
+        # at most |K alpha_{L-1}| / (m (L+1) (m-1)), and so do the terms c0 omits
+        tail = 2 * abs(Kd) * abs(alpha[L - 1]) / (m * (L + 1) * (m - 1))
         return OmegaBlock(n, _cut(coeffs, tail, p))
 
 
 def _order(K: Decimal, p: int) -> int:
-    """J: K - 1 for an integer K <= p + 1, where a_J is the last nonzero
-    coefficient and the residual vanishes; p otherwise."""
-    return int(K) - 1 if K % 1 == 0 and K <= p + 1 else p
+    """J: K - 1 for an integer K, where a_J is the last nonzero coefficient
+    and the residual vanishes; p + ceil(K) otherwise, so that the residual
+    falls like n^(K-J-1) = n^-(p+1) at least."""
+    return int(K) - 1 if K % 1 == 0 else p + math.ceil(K)
+
+
+def _fitted(coeffs: Sequence[Decimal]) -> int:
+    """The coefficient ``fit`` reads A off: c1, or c0 if c1 was cut."""
+    return 1 if len(coeffs) > 1 else 0
 
 
 class Expansion:
@@ -228,22 +256,27 @@ class Expansion:
             self.a = a
             self.gamma = K * sum(abs(b * c) for b, c in zip(binom, a))
 
-    def series(self, n: int, upto: int = 0) -> Tuple[List[Decimal], Decimal]:
+    def series(self, n, upto: int = 0) -> Tuple[List[Decimal], Decimal]:
         """u_0..u_{I-1} on block n and a bound on sum_{i>=I} |u_i| m^-i,
         I the first index past K where it is below 10^-p |u_0| (or
         ``upto``, with no bound).  The last terms j are left out while
         their share, at most 3 |a_j h^-j| each (sum_i |C(K-j, i)| m^-i <=
         (1 - 1/m)^(K-j) <= e for j > K and m > J + 1), totals below half
-        that bound, and the bound includes it: far blocks need few terms."""
-        K, m = self.K, 2 * n + 1
+        that bound times min(1, K), and the bound includes it: far blocks
+        need few terms, and u_1, about K u_0, keeps p digits for ``fit``.
+        n is an int or an integral Decimal; m, h and m^i are worked under
+        the p-digit context, so a huge n costs what a small one does."""
+        K = self.K
         with localcontext(context(self.p)):
-            h, w, terms = Decimal(m) / 2, Decimal(1), []
+            m = 2 * Decimal(n) + 1
+            h, w, terms = m / 2, Decimal(1), []
             for c in self.a:
                 terms.append(c * w)
                 w /= h
             u = [sum(terms)]
             limit, dropped = abs(u[0]).scaleb(-self.p), Decimal(0)
-            while len(terms) > 1 + K and dropped + 3 * abs(terms[-1]) < limit / 2:
+            drop_limit = limit * min(1, K) / 2
+            while len(terms) > 1 + K and dropped + 3 * abs(terms[-1]) < drop_limit:
                 dropped += 3 * abs(terms.pop())
             shifts = [K - j for j in range(len(terms))]
             while len(u) != upto:  # terms[j] is a_j h^-j i! C(K-j, i)
@@ -258,27 +291,25 @@ class Expansion:
             return u, Decimal("Infinity")
 
     def fit(self, block: OmegaBlock) -> Tuple[Decimal, Decimal]:
-        """(A, M0): A = c1/s1 fits A S_J to the block's slope, and M0
-        bounds sup |Omega_K - A S_J| on the block (module docstring)."""
+        """(A, M0): A fits A S_J to the block's slope, A = c1/s1, or to its
+        value, A = c0/s0, if c1 was cut; M0 bounds sup |Omega_K - A S_J| on
+        the block (module docstring)."""
         n, c = block.n, block.coeffs
-        m = 2 * n + 1
+        m, k = 2 * n + 1, _fitted(c)
         u, tail = self.series(n)
         with localcontext(context(self.p)):
-            A = c[1] / (u[1] * (Decimal(m) / 2) ** self.K / m)
-            B = c[1] * m / u[1]  # A h^K
-            fit = abs(c[0] - B * u[0]) + sum(
-                abs((c[i] if i < len(c) else 0) - (B * u[i] / m ** i if i < len(u) else 0))
-                for i in range(2, max(len(c), len(u))))
+            A = c[k] / (u[k] * (Decimal(m) / 2) ** self.K / m ** k)
+            B = c[k] * m ** k / u[k]  # A h^K
+            gap = [abs((c[i] if i < len(c) else 0) - (B * u[i] / m ** i if i < len(u) else 0))
+                   for i in range(max(len(c), len(u)))]
+            fit = gap[1 - k] + sum(gap[2:])
             return A, fit + abs(B) * tail + abs(c[0]).scaleb(-self.p)
 
     def residual(self, n: int, B: Decimal) -> Decimal:
-        """The bound on F (module docstring) for A = B h^-K and n > J/2;
-        infinite if K >= J + 1."""
+        """The bound on F (module docstring) for A = B h^-K and n > J/2."""
         J, K = self.J, self.K
         if not self.gamma:
             return Decimal(0)
-        if J + 1 <= K:
-            return Decimal("Infinity")
         with localcontext(context(self.p)):
             # A (n+1)^K = B ((n+1)/h)^K <= B ((2n+2)/(2n+1))^ceil(K)
             scale = abs(B) * (Decimal(2 * n + 2) / (2 * n + 1)) ** math.ceil(K)
@@ -298,17 +329,20 @@ class OmegaKLedger:
     """Omega_K blocks for one value of K: a chain grown block by block up
     to the largest requested x, each block tested for the switch when
     the chain must grow past it, and past the switch block, blocks from
-    the large-x expansion, made as they are read.  No block beyond
-    ``MAX_BLOCK`` is made, and made blocks are never mutated.  Growth
-    holds a lock, so threads may share a ledger; reads take none.  Of
-    the expansion blocks the ledger keeps only the last one made (a
-    remake costs well under a millisecond), so its memory is the chain's.
+    the large-x expansion, made as they are read.  K lies in
+    (0, ``MAX_K``], where every ledger switches, so the chain ends at
+    its switch block and x may have any size: only a value past the
+    decimal exponent range (about 1e999999) is a ``LedgerRangeError``.
+    Made blocks are never mutated.  Growth holds a lock, so threads may
+    share a ledger; reads take none.  Of the expansion blocks the ledger
+    keeps only the last one made (a remake costs well under a
+    millisecond), so its memory is the chain's.
     """
 
     def __init__(self, K, p: int = DEFAULT_PRECISION, chain: Sequence[OmegaBlock] = ()):
         """``chain``, if given, holds blocks 1, 2, ... to go on from (as
         ``store.load_artifact`` reads them); else the seed blocks."""
-        self.K = as_real(K, p)
+        self.K = _class_parameter(K, p)
         self.p = p
         self._ctx = context(p)  # for reads; never handed out, so never changed
         self._grow_lock = threading.Lock()
@@ -323,12 +357,11 @@ class OmegaKLedger:
         """The last chain block."""
         return len(self._blocks) - 1
 
-    def ensure(self, n: int) -> OmegaBlock:
-        """Block n, grown or made if the ledger does not hold it."""
+    def ensure(self, n) -> OmegaBlock:
+        """Block n (an int, or an integral Decimal of any size), grown or
+        made if the ledger does not hold it."""
         if n < 1:
             raise LedgerRangeError(f"block index must be >= 1, got {n}")
-        if n > MAX_BLOCK:
-            raise LedgerRangeError(f"block {n} beyond the ledger limit {MAX_BLOCK}")
         with self._grow_lock:
             blocks = self._blocks
             while self.switch is None and len(blocks) <= n:
@@ -339,44 +372,46 @@ class OmegaKLedger:
                 else:
                     blocks.append(advance_omega_k(last, self.K, self.p))
             if n < len(blocks):
-                return blocks[n]
+                return blocks[int(n)]
             direct = self._direct
             if direct is None or direct.n != n:
                 direct = self._direct = self._direct_block(n)
             return direct
 
-    def block(self, n: int) -> OmegaBlock:
+    def block(self, n) -> OmegaBlock:
         blocks, direct = self._blocks, self._direct
         if 1 <= n < len(blocks):
-            return blocks[n]
+            return blocks[int(n)]
         return direct if direct is not None and direct.n == n else self.ensure(n)
 
     def _test(self, block: OmegaBlock) -> Optional[Switch]:
         """The switch at ``block`` if the expansion fits it within
         n 10^-p Omega_K(n) (module docstring); the cheap residual first."""
         n, c, m = block.n, block.coeffs, 2 * block.n + 1
-        if 2 * n <= _order(self.K, self.p) or len(c) < 2:
+        if 2 * n <= _order(self.K, self.p):
             return None  # the bound on F needs n > J/2
         exp = self._expansion = self._expansion or Expansion(self.K, self.p)
         with localcontext(context(self.p)):
             low = block.eval(Decimal(-1), context(self.p))  # Omega_K(n)
             limit = n * low.scaleb(-self.p)
-            (u0, u1), _ = exp.series(n, upto=2)
-            B = c[1] * m / u1  # A h^K, as ``fit`` reads it
+            u, _ = exp.series(n, upto=2)
+            k = _fitted(c)
+            B = c[k] * m ** k / u[k]  # A h^K, as ``fit`` reads it
             F = exp.residual(n, B)
-            if F + abs(c[0] - B * u0) >= limit:  # two parts of M0 + F
+            if F + abs(c[0] - B * u[0]) >= limit:  # two parts of M0 + F
                 return None
             A, M0 = exp.fit(block)
             if M0 + F >= limit:
                 return None
             return Switch(n, A, (M0 + F) / low + (n + 2) * Decimal(1).scaleb(1 - self.p))
 
-    def _direct_block(self, n: int) -> OmegaBlock:
-        """Block n > n0: A S_J's series on [n, n+1), cut like a chain block."""
+    def _direct_block(self, n) -> OmegaBlock:
+        """Block n > n0: A S_J's series on [n, n+1), cut like a chain block,
+        worked under the p-digit context like ``Expansion.series``."""
         u, tail = self._expansion.series(n)
-        m = 2 * n + 1
         with localcontext(context(self.p)):
-            B = self.switch.A * (Decimal(m) / 2) ** self.K
+            m = 2 * Decimal(n) + 1
+            B = self.switch.A * (m / 2) ** self.K
             coeffs = [B * ui / m ** i for i, ui in enumerate(u)]
             return OmegaBlock(n, _cut(coeffs, abs(B) * tail, self.p))
 
@@ -386,11 +421,14 @@ def eval_omega_k(ledger: OmegaKLedger, x) -> Decimal:
     xd = as_real(x, ledger.p)
     if xd < 1:
         raise LedgerRangeError(f"Omega_K is defined on [1, inf), got {xd}")
-    if xd >= MAX_BLOCK + 1:  # checked before int(xd), which may be huge
-        raise LedgerRangeError(f"x = {xd} lies past the ledger limit {MAX_BLOCK}")
-    n = int(xd)
+    # a chain block's index is an int; past the chain it stays an integral
+    # Decimal, since int() would spell out every digit of a huge x
+    n = int(xd) if xd < len(ledger._blocks) else xd.to_integral_value(ROUND_FLOOR)
     ctx = ledger._ctx
-    return ledger.block(n).eval(ctx.subtract(ctx.multiply(2, ctx.subtract(xd, n)), 1), ctx)
+    try:
+        return ledger.block(n).eval(ctx.subtract(ctx.multiply(2, ctx.subtract(xd, n)), 1), ctx)
+    except Overflow as exc:
+        raise LedgerRangeError(f"Omega_K({xd}) overflows the decimal exponent range") from exc
 
 
 def proportion_large_smallest(ledger: OmegaKLedger, x) -> Decimal:

@@ -10,15 +10,20 @@ part of it under test, used only to check it.
 * ``OmegaKChain``: Omega_K from the block chain alone, grown to any
   block, where the package's ledger switches to the large-x expansion;
   at p + 15 digits it checks the expansion blocks.
+* ``SWITCH_SWEEP``: seeded (K, p) cases over the ledger's domain, for
+  the checks that every K switches within its bound.
 """
 
+import math
+import random
 from decimal import Decimal, localcontext
 from itertools import permutations as iter_permutations
 from typing import List
 
 from buchstab.numerics import context
 from buchstab.omega import integrate_block
-from buchstab.omega_k import OmegaBlock, OmegaKLedger, advance_omega_k, seed_block1, seed_block2
+from buchstab.omega_k import (MAX_K, OmegaBlock, OmegaKLedger, advance_omega_k, seed_block1,
+                              seed_block2)
 
 BRUTE_FORCE_LIMIT = 8  # 8! = 40320 permutations, enumerable directly
 
@@ -97,3 +102,15 @@ class OmegaKChain:
         x = ctx.create_decimal(x)
         n = int(x)
         return self.block(n).eval(ctx.subtract(ctx.multiply(2, x - n), 1), ctx)
+
+
+def _switch_sweep() -> List[tuple]:
+    """14 K log-uniform in [1e-9, MAX_K] (to 4 digits), then K = 1e-40,
+    which makes blocks of one coefficient below p = 40, and K = MAX_K;
+    p uniform in [20, 60]."""
+    rng = random.Random(28)
+    ks = [f"{10 ** rng.uniform(-9, math.log10(MAX_K)):.4g}" for _ in range(14)]
+    return [(K, rng.randint(20, 60)) for K in ks + ["1e-40", str(MAX_K)]]
+
+
+SWITCH_SWEEP = _switch_sweep()

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -15,9 +14,9 @@ from hypothesis import given, settings
 
 from buchstab.cli import GUARD_DIGITS, MAX_DIGITS, format_rational, format_real, main
 from buchstab.numerics import context
-from buchstab.omega_k import MAX_BLOCK, OmegaKLedger
+from buchstab.omega_k import OmegaKLedger
 from buchstab.store import save_artifact
-from oracles import OmegaKChain
+from oracles import SWITCH_SWEEP, OmegaKChain
 
 
 def run_cli(capsys, *argv):
@@ -228,38 +227,23 @@ def test_cache_clear_keeps_files_that_are_not_entries(capsys, tmp_path):
     assert sorted(p.name for p in cache_dir.glob("*.json")) == ["settings.json"]
 
 
-def test_omega_k_max_interval_applies_to_cached_ledger(capsys, tmp_path):
-    # the growth limit MAX_BLOCK refuses x past it, with --cache-dir too
-    cache_dir = str(tmp_path / "cache")
-    inside = ("omega-k", "--k", "1", "--x", "60.5", "--cache-dir", cache_dir)
-    beyond = inside[:4] + (f"{MAX_BLOCK + 1}.5",) + inside[5:]
-    for argv, code, out in ((beyond, 2, ""), (inside, 0, "33.9683\n"),
-                            (beyond, 2, "")):
-        assert main(list(argv)) == code
-        captured = capsys.readouterr()
-        assert captured.out == out
-        assert (f"limit {MAX_BLOCK}" in captured.err) == (code == 2)
-
-
 def test_omega_limit_holds_on_a_longer_entry(capsys, tmp_path):
     # beside an 8192-block entry an earlier version wrote, omega, constant
-    # and omega-k print what they print without it: values, and the
-    # ledger's growth limit MAX_BLOCK
+    # and omega-k print what they print without it, far past its last block too
     cache = ("--cache-dir", str(tmp_path))
     entry = plant_entry(tmp_path, 8192)
     data = entry.read_bytes()
     for argv in (("omega", "--x", "20.5"),
                  ("omega", "--x", "8192.5"),
-                 ("omega", "--x", "16385.5"),
-                 ("omega-k", "--k", "1", "--x", "16385.5"),
-                 ("omega-k-table", "--k", "1", "--x-list", "3", "16385.5"),
+                 ("omega", "--x", "1e20"),
+                 ("omega-k", "--k", "1", "--x", "1e20"),
+                 ("omega-k-table", "--k", "1", "--x-list", "3", "1e20"),
                  ("constant",)):
         code = main([*argv, *cache])
         warm = (code, capsys.readouterr())
         code = main(list(argv))
         assert warm == (code, capsys.readouterr()), argv
-        assert (code == 2) == ("16385.5" in argv), argv
-        assert (f"limit {MAX_BLOCK}" in warm[1].err) == (code == 2), argv
+        assert code == 0 and warm[1].err == "", argv
     assert_untouched(entry, data)
 
 
@@ -411,16 +395,31 @@ def test_constant_digits_past_fifty_are_printed(capsys):
         "constant=1.30720779891056809974468019428857389489917668754669767637279")
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("omega", "--x", "1e5000"), "0.561459\n"),
+    (("omega-k", "--k", "1", "--x", "1e5000"), "561459" + "0" * 4994 + "\n"),
+    (("omega-k-table", "--k", "0.5", "--x-list", "3", "1e5000"),
+     "x,omega_k\n3,1.34657\n1" + "0" * 5000 + ",845501" + "0" * 2494 + "\n"),
+], ids=["omega", "omega-k", "omega-k-table"])
+def test_huge_x_is_answered(capsys, argv, out):
+    # an x whose block number has more digits than str() spells out costs
+    # one block made from the large-x expansion
+    assert run_cli(capsys, *argv) == (0, out)
+
+
 @pytest.mark.parametrize("argv", [
-    ("omega", "--x", "1e5000"),
-    ("omega-k", "--k", "1", "--x", "1e5000"),
-    ("omega-k-table", "--k", "0.5", "--x-list", "3", "1e5000"),
+    ("omega-k", "--k", "1", "--x", "9e999999"),
+    ("omega", "--x", "9e999999"),
+    ("omega-k", "--k", "40.5", "--x", "1e30000"),
+    ("omega-k", "--k", "65", "--x", "2.5"),
 ])
-def test_huge_x_names_the_ledger_limit(capsys, argv):
-    # an x whose block number has more digits than str() spells out
+def test_values_past_the_decimal_range_and_k_past_max_k_are_usage_errors(capsys, argv):
+    # Omega_K(x) beyond the largest decimal exponent, and K > MAX_K, exit 2
+    # with a one-line message, never a traceback from decimal
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and f"limit {MAX_BLOCK}" in captured.err
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cache_clear_that_cannot_remove_an_entry(capsys, tmp_path):
@@ -511,10 +510,13 @@ def test_digits_up_to_precision(capsys):
     assert code == 0 and len(out.strip()) == 38 and out.startswith("0.5614544682684567287363246889")
 
 
-def test_guard_digits_cover_a_ledger_grown_to_its_bound():
-    # a ledger grown through MAX_BLOCK blocks loses about log10(MAX_BLOCK)
-    # digits to rounding; the guard keeps one more
-    assert GUARD_DIGITS == math.ceil(math.log10(MAX_BLOCK)) + 1
+def test_guard_digits_cover_the_switch_bound():
+    # every ledger switches, so a value's relative error is at most
+    # Switch.bound, about (n0 + 2) 10^(1-p): the guard digits cover it
+    for K, p in SWITCH_SWEEP:
+        ledger = OmegaKLedger(K, p)
+        ledger.ensure(200)
+        assert ledger.switch.bound <= Decimal(1).scaleb(GUARD_DIGITS - 1 - p), (K, p)
 
 
 def assert_within_one_unit(printed, value, digits):

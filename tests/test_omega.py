@@ -228,8 +228,6 @@ def test_coefficient_decay(ledger):
 def test_block_eval_out_of_range(ledger):
     with pytest.raises(LedgerRangeError):
         eval_omega(ledger, "0.5")
-    with pytest.raises(LedgerRangeError):
-        eval_omega(ledger, 16385)  # past the ledger's growth limit
     # past n* the ledger grows, like the Omega_1 ledger it is
     assert abs(eval_omega(ledger, "300.5") - exp_neg_gamma_100(30)) < Decimal("1e-4")
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from decimal import Decimal, localcontext
 
 import pytest
@@ -9,7 +10,7 @@ from buchstab.numerics import context
 from buchstab.omega import LedgerRangeError, QuadratureConfig, build_omega_ledger, eval_omega
 from buchstab import omega_k
 from buchstab.omega_k import (
-    MAX_BLOCK,
+    MAX_K,
     Expansion,
     OmegaBlock,
     OmegaKLedger,
@@ -22,7 +23,7 @@ from buchstab.omega_k import (
     series_over_binomial,
     table_values,
 )
-from oracles import OmegaKChain, exp_neg_gamma_100
+from oracles import SWITCH_SWEEP, OmegaKChain, exp_neg_gamma_100
 
 ONE_PLUS_LN2 = Decimal("1.693147180559945309417232121458")
 ONE_PLUS_LN32 = Decimal("1.405465108108164381978013115464")
@@ -273,14 +274,6 @@ def test_eval_domain(ledger_k1):
         eval_omega_k(ledger_k1, "0.99")
 
 
-def test_ledger_limit():
-    # the bound is checked before any growth
-    lk = OmegaKLedger(1)
-    with pytest.raises(LedgerRangeError, match=f"limit {MAX_BLOCK}"):
-        lk.block(MAX_BLOCK + 1)
-    assert lk.built_through == 2
-
-
 def test_table_values(ledger_k1):
     rows = table_values(ledger_k1, [2, "2.5", 3])
     assert abs(rows[0][1] - 1) < Decimal("1e-19")
@@ -327,12 +320,32 @@ def test_k_validation():
         OmegaKLedger(0)
     with pytest.raises(ValueError):
         seed_block2(-1)
+    with pytest.raises(ValueError, match=f"<= {MAX_K}"):
+        OmegaKLedger(MAX_K + Decimal("0.001"))
+    assert OmegaKLedger(MAX_K).K == MAX_K
+
+
+def test_huge_x_costs_one_block():
+    # past the switch block x may have any size: the block index stays a
+    # Decimal, and a value past the exponent range is a range error
+    ledger = OmegaKLedger(1)
+    with localcontext(context(30)):
+        for x in ("1e20", "1e100000"):
+            far = eval_omega_k(ledger, x) / (Decimal(x) * exp_neg_gamma_100(30))
+            assert abs(far - 1) <= ledger.switch.bound, x
+    start = time.perf_counter()
+    with pytest.raises(LedgerRangeError, match="exponent"):
+        eval_omega_k(ledger, "9e999999")
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(LedgerRangeError, match="exponent"):
+        eval_omega_k(OmegaKLedger("40.5"), "1e30000")
+    assert ledger.built_through == ledger.switch.n0 == 19
 
 
 # The switch block of each (K, p): the first chain block the large-x
 # expansion fits within n 10^-p Omega_K(n).
-SWITCH_BLOCKS = {("0.25", 30): 23, ("0.5", 30): 23, ("1", 30): 19, ("2", 30): 22,
-                 ("0.5", 40): 30}
+SWITCH_BLOCKS = {("0.25", 30): 20, ("0.5", 30): 23, ("1", 30): 19, ("2", 30): 22,
+                 ("0.5", 40): 30, ("1e-9", 30): 16, ("31.5", 30): 41}
 
 
 @pytest.mark.parametrize("K, p", sorted(SWITCH_BLOCKS))
@@ -360,6 +373,23 @@ def test_expansion_joins_the_chain_at_the_switch_block(K, p):
     left = ledger.block(n0).eval(Decimal(1), ctx)
     right = ledger.block(n0 + 1).eval(Decimal(-1), ctx)
     assert abs(right / left - 1) <= ledger.switch.bound
+
+
+@pytest.mark.parametrize("K, p", SWITCH_SWEEP)
+def test_every_k_switches_and_meets_a_finer_chain(K, p):
+    # each K of the domain, from tiny ones whose blocks are constant at p
+    # digits to MAX_K, switches within 100 blocks, and its values up to
+    # x = 1000 meet a chain with 15 more digits within the stated bound
+    ledger = OmegaKLedger(K, p)
+    ledger.ensure(1000)
+    n0 = ledger.switch.n0
+    assert n0 == ledger.built_through <= 100
+    rng = random.Random(f"{K}/{p}")
+    xs = [f"{n0 + (1000 - n0) * (j / 5) ** 3 + rng.random():.6f}" for j in range(6)]
+    chain = OmegaKChain(K, p + 15)
+    with localcontext(context(p + 20)):
+        worst = max(abs(eval_omega_k(ledger, x) / chain.value(x) - 1) for x in xs)
+    assert worst <= ledger.switch.bound
 
 
 @pytest.mark.parametrize("K, a", [(1, [1]), (2, [1, 2]), (3, [1, 6, "7.5"])])

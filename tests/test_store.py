@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from buchstab.omega import build_omega_ledger, eval_omega, moment_constant
-from buchstab.omega_k import MAX_BLOCK, OmegaKLedger, eval_omega_k
+from buchstab.omega_k import OmegaKLedger, eval_omega_k
 from buchstab.store import (
     ArtifactCache,
     CorruptArtifactError,
@@ -251,6 +251,18 @@ def test_deeply_nested_json_is_corrupt(tmp_path):
         load_artifact(path)
 
 
+@pytest.mark.parametrize("K", ["-1", "65"])
+def test_stored_k_outside_the_domain_is_corrupt(tmp_path, K):
+    # a ledger takes K in (0, MAX_K] whether it starts from seeds or a file
+    path = tmp_path / "omk.json"
+    save_artifact(_omega_k_ledger(), path)
+    header, lines = _read_entry(path)
+    header["params"]["K"] = K
+    _write_entry(path, header, lines)
+    with pytest.raises(CorruptArtifactError, match="bad params"):
+        load_artifact(path)
+
+
 def test_block_is_decoded_and_checked_on_first_read(tmp_path):
     # a re-checksummed artifact with a NaN in block 3: the load decodes
     # and checks every block, so it fails before any value is read
@@ -320,14 +332,13 @@ def test_full_ledger_round_trip_is_byte_identical(tmp_path, K):
 
 
 def test_cached_omega_k_ledger_keeps_its_limit(tmp_path):
+    # a reloaded ledger reads what the original reads and keeps its chain
     ledger = OmegaKLedger(1)
     ledger.ensure(20)
     path = tmp_path / "omk.json"
     save_artifact(ledger, path)
     reloaded = load_artifact(path)
     assert str(eval_omega_k(reloaded, "19.5")) == str(eval_omega_k(ledger, "19.5"))
-    with pytest.raises(ValueError, match=f"limit {MAX_BLOCK}"):
-        eval_omega_k(reloaded, MAX_BLOCK + 1)
     assert reloaded.built_through == ledger.built_through
 
 
